@@ -5,8 +5,8 @@
 // ones, so the paper's uniform-by-count split (Section 4.1) piles the
 // heavy units onto one stage while the cost-balanced split spreads them.
 // For each strategy the bench reports the partitioner's predicted stage
-// costs (cost_model.h) next to ThreadedEngine's measured busy / wait
-// nanoseconds (stage_stats()), plus end-to-end steps/sec — uniform's
+// costs (cost_model.h) next to the "threaded" backend's measured busy /
+// wait nanoseconds (stage_stats()), plus end-to-end steps/sec — uniform's
 // throughput is bounded by its overloaded stage, so balanced should win
 // on both the balance ratio and the wall clock.
 //
@@ -30,7 +30,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
-#include "src/core/engine_backend.h"
+#include "src/core/backend.h"
 #include "src/core/stage_load.h"
 #include "src/pipeline/partition.h"
 #include "src/util/cli.h"
@@ -52,7 +52,7 @@ nn::Model make_skewed_mlp() {
 
 struct RunResult {
   pipeline::Partition partition;
-  std::vector<pipeline::ThreadedEngine::StageStats> stats;
+  std::vector<pipeline::StageStats> stats;
   double steps_per_sec = 0.0;
 };
 
@@ -71,19 +71,17 @@ RunResult run_strategy(pipeline::PartitionStrategy strategy, bool measured,
 
   auto backend = core::BackendRegistry::instance().create(
       make_skewed_mlp(), core::BackendConfig("threaded"), ec, seed);
-  auto* threaded = dynamic_cast<core::ThreadedBackend*>(backend.get());
-
   // Warmup fills the version ring and faults in buffers off the clock.
   for (int s = 0; s < 2; ++s) benchutil::backend_step(*backend, workload);
-  threaded->engine().reset_stage_stats();
+  backend->reset_stage_stats();
 
   auto t0 = std::chrono::steady_clock::now();
   for (int s = 0; s < steps; ++s) benchutil::backend_step(*backend, workload);
   auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
-  r.partition = threaded->engine().partition();
-  r.stats = threaded->engine().stage_stats();
+  r.partition = *backend->partition();
+  r.stats = backend->stage_stats();
   double secs = std::chrono::duration<double>(t1 - t0).count();
   r.steps_per_sec = secs > 0.0 ? steps / secs : 0.0;
   return r;

@@ -91,22 +91,19 @@ RunResult run_backend(const std::string& label, const core::BackendConfig& backe
   r.steps_per_sec = secs > 0.0 ? steps / secs : 0.0;
   r.loss = last.loss;
 
-  // Busy spread over *execution threads*: stage slots for the
-  // stage-per-thread engine, worker slots for the stealing engine.
-  if (auto* steal = dynamic_cast<core::ThreadedStealBackend*>(built.get())) {
-    r.worker_spread = core::StageLoadObserver::busy_spread(steal->engine().worker_stats());
-    std::uint64_t busy = 0;
-    std::uint64_t stolen = 0;
-    for (const auto& st : steal->engine().stage_stats()) {
-      busy += st.busy_ns;
-      stolen += st.stolen_ns;
-      r.steals += st.stolen_items;
-    }
-    r.stolen_busy_share = busy > 0 ? static_cast<double>(stolen) / static_cast<double>(busy)
-                                   : 0.0;
-  } else {
-    r.worker_spread = core::StageLoadObserver::busy_spread(built->stage_stats());
+  // Busy spread over *execution threads*: the worker slots of the stealing
+  // engine behind both "threaded" and "threaded_steal".
+  const auto& engine = dynamic_cast<core::ThreadedStealBackend&>(*built).engine();
+  r.worker_spread = core::StageLoadObserver::busy_spread(engine.worker_stats());
+  std::uint64_t busy = 0;
+  std::uint64_t stolen = 0;
+  for (const auto& st : engine.stage_stats()) {
+    busy += st.busy_ns;
+    stolen += st.stolen_ns;
+    r.steals += st.stolen_items;
   }
+  r.stolen_busy_share =
+      busy > 0 ? static_cast<double>(stolen) / static_cast<double>(busy) : 0.0;
   return r;
 }
 

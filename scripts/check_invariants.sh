@@ -7,9 +7,9 @@
 #   1. No raw std synchronization primitives outside src/util/sync.h.
 #      Every lock goes through util::Mutex / util::CondVar / util::MutexLock
 #      so the Clang analysis sees every acquire and release.
-#   2. No std::thread spawned outside the engine/pool files that own
-#      thread lifetime (WorkerPool, ThreadedEngine, ThreadedHogwildEngine).
-#      Queries (hardware_concurrency, this_thread) are fine anywhere.
+#   2. No std::thread spawned outside sched::WorkerPool, the one owner of
+#      thread lifetime. Queries (hardware_concurrency, this_thread) are
+#      fine anywhere.
 #   3. A .cpp that touches a GUARDED_BY field must include the header that
 #      declares it (directly, or via that header's own includes) — no
 #      poking at guarded state through forward declarations or externs.
@@ -49,11 +49,11 @@ hits=$(grep -nE 'std::(mutex|condition_variable|recursive_mutex|shared_mutex|tim
 violation "raw std synchronization primitive outside src/util/sync.h (use util::Mutex / util::CondVar / util::MutexLock)" "$hits"
 
 # --- Rule 2: std::thread spawning confined to the thread-owning files -----
-THREAD_OWNERS='^src/(sched/worker_pool|pipeline/threaded_engine|hogwild/threaded_hogwild)\.(h|cpp):'
+THREAD_OWNERS='^src/sched/worker_pool\.(h|cpp):'
 hits=$(grep -nE 'std::thread\b' $SRC_FILES /dev/null |
          grep -vE 'std::thread::hardware_concurrency' |
          grep -vE "$THREAD_OWNERS")
-violation "std::thread spawned outside WorkerPool / ThreadedEngine / ThreadedHogwildEngine" "$hits"
+violation "std::thread spawned outside sched::WorkerPool" "$hits"
 
 # --- Rules 3 & 4 ----------------------------------------------------------
 # Collect GUARDED_BY field declarations: "header field" pairs.

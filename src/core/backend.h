@@ -113,8 +113,9 @@ struct SequentialOptions {
   static constexpr std::string_view kName = "SequentialOptions";
 };
 
-/// "threaded" — the stage-per-thread ThreadedEngine. No extra knobs;
-/// rejects engine.recompute_segments > 0 (an analytic-engine feature).
+/// "threaded" — stage-per-thread 1F1B: the sched::StealingEngine preset
+/// with W = P workers and stealing disabled. No extra knobs; rejects
+/// engine.recompute_segments > 0 (an analytic-engine feature).
 struct ThreadedOptions {
   static constexpr std::string_view kName = "ThreadedOptions";
 };

@@ -29,21 +29,16 @@ void MetricsObserver::on_epoch(EpochRecord& record) {
   // Engine-specific instrumentation that lives behind the concrete
   // surfaces (no ExecutionBackend virtuals for these — they are
   // engine-private notions, mirrored into the registry here so every
-  // consumer reads one uniform snapshot).
-  if (const auto* threaded = dynamic_cast<const ThreadedBackend*>(backend_)) {
-    const auto lanes = threaded->engine().lane_stats();
-    for (std::size_t s = 0; s < lanes.size(); ++s) {
-      const std::string prefix =
-          "pipeline.mailbox.stage" + std::to_string(s) + ".";
-      gauge(prefix + "fwd_high_water")
-          .set(static_cast<double>(lanes[s].fwd_high_water));
-      gauge(prefix + "bwd_high_water")
-          .set(static_cast<double>(lanes[s].bwd_high_water));
-      gauge(prefix + "inflight_high_water")
-          .set(static_cast<double>(lanes[s].inflight_high_water));
-    }
-  }
+  // consumer reads one uniform snapshot). Both "threaded" and
+  // "threaded_steal" run the StealingEngine.
   if (const auto* steal = dynamic_cast<const ThreadedStealBackend*>(backend_)) {
+    // The gauge keeps its historical "mailbox" name: dashboards and the
+    // repository benchmark read it under this key.
+    const auto inflight = steal->engine().inflight_high_water();
+    for (std::size_t s = 0; s < inflight.size(); ++s) {
+      gauge("pipeline.mailbox.stage" + std::to_string(s) + ".inflight_high_water")
+          .set(static_cast<double>(inflight[s]));
+    }
     // Cumulative engine-side truth (the "sched.steal_log_dropped" counter
     // only sees drops since process start across all engines; this gauge
     // is this engine's exact current value).

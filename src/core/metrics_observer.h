@@ -4,8 +4,8 @@
 // obs::MetricsRegistry at every epoch boundary: curve-level gauges
 // (train.epoch / train.loss / train.metric / train.param_norm), the
 // backend-specific instrumentation that only exists behind a concrete
-// engine surface (ThreadedEngine's StageMailbox lane high-water marks,
-// StealingEngine's cumulative dropped steal-log entries), and — when a
+// engine surface (StealingEngine's per-stage 1F1B in-flight high-water
+// marks and cumulative dropped steal-log entries), and — when a
 // --metrics=<file> path is set — a JSON snapshot of the whole registry
 // rewritten after each epoch, so a run killed mid-training still leaves
 // its latest metrics on disk. core::train installs one automatically when

@@ -89,8 +89,8 @@ struct EngineConfig {
   /// this many segments; only segment-start activations are kept from the
   /// forward pass, the rest are recomputed just before the backward pass
   /// using recompute-scheduled (delayed) weights. 0 disables recomputation.
-  /// Only the analytic PipelineEngine models recomputation; ThreadedEngine
-  /// rejects it.
+  /// Only the analytic PipelineEngine models recomputation; the threaded
+  /// backends reject it.
   int recompute_segments = 0;
 };
 

@@ -24,7 +24,7 @@ std::vector<obs::Histogram*> staleness_histograms(int stages);
 /// live weights, the bounded ring of committed weight versions (which
 /// doubles as PipeDream's weight stash), and the Technique 2 delta EMA.
 ///
-/// Both the sequential PipelineEngine and the multithreaded ThreadedEngine
+/// Both the sequential PipelineEngine and the multithreaded StealingEngine
 /// assemble their per-(stage, microbatch) forward/backward parameter views
 /// through this class, which is what guarantees the two backends are
 /// statistically — in fact bitwise — equivalent: the weight bytes fed to
@@ -87,8 +87,8 @@ class WeightVersions {
   // history_, live_, prev_live_ and delta_ only between minibatches
   // (commit_update / the optimizer mutating live()); workers call the
   // const assemble_*_units readers only inside a minibatch. The owning
-  // engine's generation barrier — the ctrl_m_ release/acquire pair in
-  // ThreadedEngine / the WorkerPool barrier in StealingEngine — is the
+  // engine's generation barrier — the WorkerPool barrier in
+  // StealingEngine — is the
   // happens-before edge that publishes each commit to the workers.
   // Annotating these fields GUARDED_BY a capability would outlaw exactly
   // the lock-free reads that make the hot path scale; the unannotated

@@ -11,8 +11,8 @@ namespace pipemare::sched {
 /// How (and whether) idle workers steal work from other stages' deques.
 enum class StealMode {
   /// Never steal: each worker drains only the stages it is home to. With
-  /// W == P this degenerates to stage-per-thread execution ("threaded"
-  /// with queue mechanics); the parity baseline.
+  /// W == P this is stage-per-thread execution, the "threaded" preset.
+  /// The victim order is never read, so the policy is not seeded.
   Disabled,
   /// Steal from the busy-share leader: victim ranking is seeded from the
   /// partition cost model's predicted stage costs and re-ranked between

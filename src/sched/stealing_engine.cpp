@@ -51,6 +51,15 @@ std::vector<double> predicted_stage_costs(const nn::Model& model,
   return stage;
 }
 
+/// The victim policy for `mode`. Disabled never reads the victim order,
+/// so it skips the cost-model profiling of the seed.
+StealPolicy seed_policy(StealMode mode, const nn::Model& model,
+                        const pipeline::Partition& partition,
+                        const pipeline::PartitionSpec& spec) {
+  if (mode == StealMode::Disabled) return StealPolicy(mode, {});
+  return StealPolicy(mode, predicted_stage_costs(model, partition, spec));
+}
+
 }  // namespace
 
 StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
@@ -62,8 +71,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
                                           cfg_.engine.partition)),
       schedule_(cfg_.engine.num_stages, cfg_.engine.num_microbatches),
       store_(model, cfg_.engine, partition_, schedule_, seed),
-      policy_(cfg_.mode,
-              predicted_stage_costs(model, partition_, cfg_.engine.partition)) {
+      policy_(seed_policy(cfg_.mode, model, partition_, cfg_.engine.partition)) {
   if (cfg_.engine.recompute_segments > 0) {
     throw std::invalid_argument(
         "StealingEngine: activation recomputation is modelled only by the "
@@ -77,7 +85,6 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   cfg_.engine.partition.probe.reset();
   grads_.assign(store_.live().size(), 0.0F);
 
-  // Stage -> module/unit ranges, shared with ThreadedEngine.
   ranges_ = pipeline::stage_module_ranges(partition_);
 
   const int p = cfg_.engine.num_stages;
@@ -91,6 +98,9 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   micro_count_.assign(static_cast<std::size_t>(n), 0.0);
   next_bwd_.assign(static_cast<std::size_t>(p), 0);
   bwd_ready_.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(n), 0);
+  fwd_admitted_.assign(static_cast<std::size_t>(p), 0);
+  fwd_parked_.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(n), 0);
+  inflight_high_water_.assign(static_cast<std::size_t>(p), 0);
 
   queues_.reserve(static_cast<std::size_t>(p));
   for (int s = 0; s < p; ++s) queues_.push_back(std::make_unique<TaskQueue>());
@@ -102,8 +112,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
     home_stages_[static_cast<std::size_t>(s % w)].push_back(s);
   }
   worker_stats_.assign(static_cast<std::size_t>(w), StageStats{});
-  scratch_.resize(static_cast<std::size_t>(w));
-  for (auto& buf : scratch_) buf.resize(store_.live().size());
+  scratch_.resize(static_cast<std::size_t>(w));  // sized by each worker (drain)
 
   // Spawn last: drain() touches every field above.
   pool_ = std::make_unique<WorkerPool>(w, [this](int worker) { drain(worker); });
@@ -122,8 +131,7 @@ void StealingEngine::repartition(const pipeline::Partition& next) {
   // Reseed the victim ranking from the new split's predicted stage costs
   // (the probe was dropped after construction; the analytic fallback is
   // fine — a migrated partition carries observed-cost stage totals).
-  policy_ = StealPolicy(cfg_.mode,
-                        predicted_stage_costs(model_, partition_, cfg_.engine.partition));
+  policy_ = seed_policy(cfg_.mode, model_, partition_, cfg_.engine.partition);
 }
 
 void StealingEngine::record_failure(const char* what) {
@@ -134,13 +142,34 @@ void StealingEngine::record_failure(const char* what) {
   }
 }
 
-void StealingEngine::enqueue(const Task& task) {
-  queues_[static_cast<std::size_t>(task.stage)]->push(task);
+void StealingEngine::push_forward_locked(int stage, int micro) {
+  const auto s = static_cast<std::size_t>(stage);
+  queues_[s]->push({Task::Kind::Forward, stage, micro});
+  ++push_version_;
+  const auto inflight = static_cast<std::size_t>(++fwd_admitted_[s] - next_bwd_[s]);
+  inflight_high_water_[s] = std::max(inflight_high_water_[s], inflight);
+}
+
+bool StealingEngine::admit_forward_locked(int stage, int micro) {
+  const auto s = static_cast<std::size_t>(stage);
+  if (micro - next_bwd_[s] < admission_window(stage)) {
+    push_forward_locked(stage, micro);
+    return true;
+  }
+  // Outside the 1F1B window: run_backward releases it when the stage's
+  // backward chain advances far enough.
+  fwd_parked_[s * static_cast<std::size_t>(cfg_.engine.num_microbatches) +
+              static_cast<std::size_t>(micro)] = 1;
+  return false;
+}
+
+void StealingEngine::admit_forward(int stage, int micro) {
+  bool pushed = false;
   {
     util::MutexLock lock(sched_m_);
-    ++push_version_;
+    pushed = admit_forward_locked(stage, micro);
   }
-  sched_cv_.notify_all();
+  if (pushed) sched_cv_.notify_all();
 }
 
 void StealingEngine::mark_backward_ready(int stage, int micro) {
@@ -223,7 +252,10 @@ bool StealingEngine::acquire(int worker, Task& out, bool& stolen) {
 }
 
 void StealingEngine::drain(int worker) {
+  // Each worker sizes (and first touches) its own weight buffer on its
+  // first minibatch, off the constructing thread.
   std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
+  w.resize(store_.live().size());
   StageStats& ws = worker_stats_[static_cast<std::size_t>(worker)];
   for (;;) {
     std::uint64_t version;
@@ -292,7 +324,7 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
   }
   if (!last) {
     fwd_flow_[static_cast<std::size_t>(m)] = std::move(out);
-    enqueue({Task::Kind::Forward, s + 1, m});
+    admit_forward(s + 1, m);
     return busy;
   }
   // Tail stage: loss into this microbatch's slot (slots are merged in
@@ -347,16 +379,23 @@ std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
     mark_backward_ready(s - 1, m);
   }
   // Advance this stage's backward chain: the successor was parked if its
-  // gradient arrived while we were running.
+  // gradient arrived while we were running. Retiring micro m also slides
+  // the 1F1B window by one, admitting Forward(s, m + window) if it was
+  // parked.
   bool notify = false;
   {
     util::MutexLock lock(sched_m_);
+    const auto row = static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
     next_bwd_[static_cast<std::size_t>(s)] = m + 1;
-    if (m + 1 < n &&
-        bwd_ready_[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(m) + 1] != 0) {
+    if (m + 1 < n && bwd_ready_[row + static_cast<std::size_t>(m) + 1] != 0) {
       queues_[static_cast<std::size_t>(s)]->push({Task::Kind::Backward, s, m + 1});
       ++push_version_;
+      notify = true;
+    }
+    const int released = m + admission_window(s);
+    if (released < n && fwd_parked_[row + static_cast<std::size_t>(released)] != 0) {
+      fwd_parked_[row + static_cast<std::size_t>(released)] = 0;
+      push_forward_locked(s, released);
       notify = true;
     }
   }
@@ -410,12 +449,13 @@ StealingEngine::StepResult StealingEngine::forward_backward(
     push_version_ = 0;
     std::fill(next_bwd_.begin(), next_bwd_.end(), 0);
     std::fill(bwd_ready_.begin(), bwd_ready_.end(), 0);
+    std::fill(fwd_admitted_.begin(), fwd_admitted_.end(), 0);
+    std::fill(fwd_parked_.begin(), fwd_parked_.end(), 0);
     mb_error_.clear();
-  }
-  // Workers are parked in the pool barrier, so the seed tasks can be
-  // enqueued without notifications.
-  for (int m = 0; m < n; ++m) {
-    queues_[0]->push({Task::Kind::Forward, 0, m});
+    // Every input is ready; stage 0's window admits the first
+    // admission_window(0) and parks the rest. Workers are parked in the pool barrier, so no
+    // notification is needed.
+    for (int m = 0; m < n; ++m) (void)admit_forward_locked(0, m);
   }
   pool_->run_generation();
   mb_targets_ = nullptr;
@@ -463,6 +503,10 @@ std::vector<StealingEngine::StageStats> StealingEngine::stage_stats() const {
     st.stolen_items = c.stolen_items.load(std::memory_order_relaxed);
     st.stolen_ns = c.stolen_ns.load(std::memory_order_relaxed);
   }
+  // Worker w is home to stage w (w < min(W, P)): its idle wait is that
+  // stage's bubble.
+  const std::size_t slots = std::min(worker_stats_.size(), out.size());
+  for (std::size_t w = 0; w < slots; ++w) out[w].pop_wait_ns = worker_stats_[w].pop_wait_ns;
   return out;
 }
 
@@ -476,6 +520,13 @@ void StealingEngine::reset_stage_stats() {
     c.stolen_ns.store(0, std::memory_order_relaxed);
   }
   worker_stats_.assign(worker_stats_.size(), StageStats{});
+  util::MutexLock lock(sched_m_);
+  std::fill(inflight_high_water_.begin(), inflight_high_water_.end(), 0);
+}
+
+std::vector<std::size_t> StealingEngine::inflight_high_water() const {
+  util::MutexLock lock(sched_m_);
+  return inflight_high_water_;
 }
 
 std::vector<StealingEngine::StageStats> StealingEngine::worker_stats() const {

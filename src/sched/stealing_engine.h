@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -24,7 +25,8 @@ namespace pipemare::sched {
 
 /// Configuration of the work-stealing runtime: the shared pipeline
 /// EngineConfig plus the scheduler knobs (registered with the
-/// core::BackendRegistry as "threaded_steal" via core::StealOptions).
+/// core::BackendRegistry as "threaded_steal" via core::StealOptions; the
+/// "threaded" preset fixes workers = num_stages, mode = Disabled).
 struct StealConfig {
   pipeline::EngineConfig engine;
   int workers = 0;          ///< worker threads; 0 = min(cores, num_stages)
@@ -43,30 +45,42 @@ struct StealRecord {
   Task::Kind kind = Task::Kind::Forward;
 };
 
-/// Work-stealing pipeline-parallel execution (registered with the
-/// core::BackendRegistry as "threaded_steal"): instead of pinning one
-/// thread per stage, W workers — W chosen independently of P — drain
-/// per-stage TaskQueue deques of *ready* forward/backward microbatch
-/// tasks, and an idle worker steals the oldest ready task from the stage
-/// the StealPolicy ranks busiest (seeded from the partition cost model's
-/// predicted stage costs, re-ranked between minibatches from the observed
-/// per-stage busy counters). Stage s is *home* to worker s mod W; any
-/// other worker executing its tasks is a thief, counted in the
-/// stolen_items / stolen_ns stats and (in the deterministic modes or with
-/// record_log) appended to the steal log.
+/// Work-stealing pipeline-parallel execution, registered with the
+/// core::BackendRegistry twice: as "threaded_steal" (the StealOptions
+/// knobs) and as the "threaded" preset (W = P workers, StealMode::Disabled:
+/// stage-per-thread 1F1B). Instead of pinning one thread per stage, W
+/// workers — W chosen independently of P — drain per-stage TaskQueue
+/// deques of *ready* forward/backward microbatch tasks, and an idle worker
+/// steals the oldest ready task from the stage the StealPolicy ranks
+/// busiest (seeded from the partition cost model's predicted stage costs,
+/// re-ranked between minibatches from the observed per-stage busy
+/// counters). Stage s is *home* to worker s mod W; any other worker
+/// executing its tasks is a thief, counted in the stolen_items / stolen_ns
+/// stats and (in the deterministic modes or with record_log) appended to
+/// the steal log.
+///
+/// 1F1B admission (every mode): Forward(s, m) is admissible only while
+/// m - next_bwd[s] < max(1, min(N, P - s)), where next_bwd[s] is the
+/// oldest microbatch whose backward at stage s has not completed — the
+/// warmup depth of PipeDream's one-forward-one-backward schedule. A
+/// forward whose input arrives beyond that window is parked and released
+/// when the stage's backward chain advances. The oldest unretired
+/// microbatch is always admissible at every stage, so the rule cannot
+/// deadlock. It bounds the microbatches admitted per stage (see
+/// inflight_high_water()), not the per-microbatch activation caches,
+/// which are allocated for all N microbatches.
 ///
 /// PipeMare semantics are preserved exactly: a stolen task executes with
 /// the *owner stage's* weight version — every (stage, microbatch) forward
 /// and backward parameter view is assembled through the same shared
-/// WeightVersions snapshot protocol the sequential and threaded engines
-/// use, so the delay distribution (Table 1) does not depend on which
-/// worker runs the task.
+/// WeightVersions snapshot protocol the sequential engine uses, so the
+/// delay distribution (Table 1) does not depend on which worker runs the
+/// task.
 ///
 /// Stronger still, the engine's numerics are *scheduling-independent by
 /// construction*, so training curves are bitwise-identical to the
-/// "sequential" and "threaded" engines whether stealing is off, on, or
-/// forced (tests assert both), and bitwise run-to-run reproducible in
-/// every mode:
+/// "sequential" engine whether stealing is off, on, or forced (tests
+/// assert it), and bitwise run-to-run reproducible in every mode:
 ///  1. weight views are pure functions of (stage, micro, step) through
 ///     WeightVersions, frozen within a minibatch;
 ///  2. forwards of a stage touch disjoint per-microbatch caches and
@@ -84,7 +98,7 @@ struct StealRecord {
 ///
 /// The surface matches the core::train_loop engine concept /
 /// core::ExecutionBackend interface. Unsupported: activation
-/// recomputation (an analytic-engine feature), as in ThreadedEngine.
+/// recomputation (an analytic-engine feature).
 class StealingEngine {
  public:
   using StepResult = pipeline::StepResult;
@@ -145,10 +159,19 @@ class StealingEngine {
   /// Per-*stage* load counters, cumulative since construction (or the last
   /// reset): busy/items of the stage's tasks wherever they executed, plus
   /// stolen_items / stolen_ns for the share executed by non-home workers.
-  /// pop_wait/push_wait are 0 — waiting is a worker-side notion here; see
-  /// worker_stats(). Call between minibatches.
+  /// Waiting is worker-side, so stage w's pop_wait_ns is worker w's idle
+  /// wait for w < min(W, P): exact per stage when W == P (the "threaded"
+  /// preset), and for W <= P the per-stage sum is the total worker idle.
+  /// push_wait_ns is 0 (task hand-off never blocks). Call between
+  /// minibatches.
   std::vector<StageStats> stage_stats() const;
   void reset_stage_stats();
+
+  /// Per-stage peak of admitted-but-unretired microbatches (forward
+  /// admitted, backward at that stage not yet complete), cumulative since
+  /// construction or the last reset_stage_stats(). The 1F1B admission rule
+  /// keeps stage s at most max(1, min(N, P - s)). Call between minibatches.
+  std::vector<std::size_t> inflight_high_water() const;
 
   /// Per-*worker* load counters: busy time, pop_wait_ns = time idle waiting
   /// for any admissible task, items executed, stolen_items = tasks taken
@@ -191,13 +214,22 @@ class StealingEngine {
   /// Run one task's compute; returns the busy nanoseconds spent.
   std::uint64_t run_forward(int worker, const Task& task, std::vector<float>& w);
   std::uint64_t run_backward(int worker, const Task& task, std::vector<float>& w);
-  void enqueue(const Task& task);
+  /// Admits Forward(stage, micro) whose input just arrived: enqueues it
+  /// if the 1F1B window allows, parks it otherwise.
+  void admit_forward(int stage, int micro);
+  bool admit_forward_locked(int stage, int micro) REQUIRES(sched_m_);
+  void push_forward_locked(int stage, int micro) REQUIRES(sched_m_);
   /// Marks Backward(stage, micro)'s gradient input as available and
   /// enqueues it if its predecessor in the stage's backward chain is done.
   void mark_backward_ready(int stage, int micro);
   void complete_task();
   void record_failure(const char* what);
   int home_worker(int stage) const { return stage % pool_->size(); }
+  /// The 1F1B warmup depth of `stage`: max(1, min(N, P - stage)).
+  int admission_window(int stage) const {
+    return std::max(1, std::min(cfg_.engine.num_microbatches,
+                                cfg_.engine.num_stages - stage));
+  }
 
   const nn::Model& model_;
   StealConfig cfg_;
@@ -240,6 +272,11 @@ class StealingEngine {
   std::uint64_t push_version_ GUARDED_BY(sched_m_) = 0;
   std::vector<int> next_bwd_ GUARDED_BY(sched_m_);      ///< per stage: next micro
   std::vector<std::uint8_t> bwd_ready_ GUARDED_BY(sched_m_);  ///< [stage*N+micro]
+  /// 1F1B admission state: forwards admitted this minibatch, forwards
+  /// parked outside the window, and the cumulative in-flight peak.
+  std::vector<int> fwd_admitted_ GUARDED_BY(sched_m_);         ///< per stage
+  std::vector<std::uint8_t> fwd_parked_ GUARDED_BY(sched_m_);  ///< [stage*N+micro]
+  std::vector<std::size_t> inflight_high_water_ GUARDED_BY(sched_m_);  ///< per stage
 
   std::vector<StealRecord> steal_log_ GUARDED_BY(sched_m_);
   std::uint64_t dropped_log_entries_ GUARDED_BY(sched_m_) = 0;

@@ -12,9 +12,9 @@ namespace pipemare::sched {
 /// A persistent pool of W worker threads driven in *generations*: the
 /// owner calls run_generation(), every worker runs the body exactly once
 /// (with its worker index), and run_generation returns when all W bodies
-/// have finished. This is the release/collect barrier ThreadedEngine and
-/// ThreadedHogwildEngine each hand-roll, extracted so the stealing engine
-/// (and future substrates) can reuse it.
+/// have finished: the release/collect barrier shared by the stealing
+/// engine, the threaded Hogwild engine, the server and the kernel lanes.
+/// It is the only owner of std::thread in src/.
 ///
 /// The barrier also carries the memory-ordering contract the engines rely
 /// on: everything the owner writes before run_generation() is visible to

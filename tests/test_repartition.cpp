@@ -26,7 +26,6 @@
 #include "src/pipeline/engine.h"
 #include "src/pipeline/partition.h"
 #include "src/pipeline/repartition.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/tensor/kernels/registry.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
@@ -341,6 +340,13 @@ struct SkewedFixture {
   }
 };
 
+/// The "threaded" registry backend over a fresh skewed model (the same
+/// weights as an engine built on SkewedFixture::model with seed 1).
+std::unique_ptr<core::ExecutionBackend> make_threaded(const EngineConfig& ec) {
+  return core::BackendRegistry::instance().create(make_skewed_mlp(),
+                                                  core::BackendConfig("threaded"), ec, 1);
+}
+
 /// One SGD step on an engine; returns the step loss.
 template <typename EngineT>
 double sgd_step(EngineT& engine, const SkewedFixture& fx) {
@@ -365,21 +371,21 @@ TEST(EngineMigration, MigratedEngineMatchesFreshEngineBitwise) {
   EngineConfig balanced_cfg = uniform_cfg;
   balanced_cfg.partition.strategy = PartitionStrategy::Balanced;
 
-  ThreadedEngine migrated(fx.model, uniform_cfg, 1);
-  ThreadedEngine fresh(fx.model, balanced_cfg, 1);
+  auto migrated = make_threaded(uniform_cfg);
+  auto fresh = make_threaded(balanced_cfg);
   Partition target = make_partition(fx.model, 4, false, balanced_cfg.partition);
-  ASSERT_NE(migrated.partition().unit_stage, target.unit_stage)
+  ASSERT_NE(migrated->partition()->unit_stage, target.unit_stage)
       << "balanced must differ from uniform for this model";
-  migrated.repartition(target);
-  EXPECT_EQ(migrated.partition().unit_stage, fresh.partition().unit_stage);
+  migrated->repartition(target);
+  EXPECT_EQ(migrated->partition()->unit_stage, fresh->partition()->unit_stage);
 
   for (int step = 0; step < 5; ++step) {
-    double lm = sgd_step(migrated, fx);
-    double lf = sgd_step(fresh, fx);
+    double lm = sgd_step(*migrated, fx);
+    double lf = sgd_step(*fresh, fx);
     ASSERT_DOUBLE_EQ(lm, lf) << "step " << step;
   }
-  auto wm = migrated.weights();
-  auto wf = fresh.weights();
+  auto wm = migrated->weights();
+  auto wf = fresh->weights();
   ASSERT_EQ(wm.size(), wf.size());
   for (std::size_t i = 0; i < wm.size(); ++i) {
     ASSERT_EQ(wm[i], wf[i]) << "weight " << i;
@@ -397,7 +403,7 @@ TEST(EngineMigration, SequentialAndThreadedAgreeAcrossMidTrainingMigration) {
   ec.num_stages = 4;
   ec.num_microbatches = 4;
   PipelineEngine seq(fx.model, ec, 1);
-  ThreadedEngine thr(fx.model, ec, 1);
+  auto thr = make_threaded(ec);
   PartitionSpec balanced_spec;
   balanced_spec.strategy = PartitionStrategy::Balanced;
   Partition target = make_partition(fx.model, 4, false, balanced_spec);
@@ -405,20 +411,20 @@ TEST(EngineMigration, SequentialAndThreadedAgreeAcrossMidTrainingMigration) {
   for (int step = 0; step < 6; ++step) {
     if (step == 3) {
       seq.repartition(target);
-      thr.repartition(target);
+      thr->repartition(target);
     }
     double ls = sgd_step(seq, fx);
-    double lt = sgd_step(thr, fx);
+    double lt = sgd_step(*thr, fx);
     ASSERT_DOUBLE_EQ(ls, lt) << "step " << step;
     auto gs = seq.gradients();
-    auto gt = thr.gradients();
+    auto gt = thr->gradients();
     ASSERT_EQ(gs.size(), gt.size());
     for (std::size_t i = 0; i < gs.size(); ++i) {
       ASSERT_EQ(gs[i], gt[i]) << "grad " << i << " at step " << step;
     }
   }
   for (std::size_t i = 0; i < seq.weights().size(); ++i) {
-    ASSERT_EQ(seq.weights()[i], thr.weights()[i]) << "weight " << i;
+    ASSERT_EQ(seq.weights()[i], thr->weights()[i]) << "weight " << i;
   }
 }
 
@@ -427,10 +433,10 @@ TEST(EngineMigration, EngineRejectsIncompatiblePartition) {
   EngineConfig ec;
   ec.num_stages = 4;
   ec.num_microbatches = 2;
-  ThreadedEngine thr(fx.model, ec, 1);
-  EXPECT_THROW(thr.repartition(make_partition(fx.model, 3, false)),
+  auto thr = make_threaded(ec);
+  EXPECT_THROW(thr->repartition(make_partition(fx.model, 3, false)),
                std::invalid_argument);
-  EXPECT_THROW(thr.repartition(make_partition(fx.model, 4, true)),
+  EXPECT_THROW(thr->repartition(make_partition(fx.model, 4, true)),
                std::invalid_argument);
 }
 
@@ -543,12 +549,12 @@ TEST(StageLoadObserver, BaselineResetsOnRepartitionAndSizeChange) {
   EngineConfig ec;
   ec.num_stages = 4;
   ec.num_microbatches = 2;
-  ThreadedEngine thr(fx.model, ec, 1);
-  core::StageLoadObserver load(thr);
+  auto thr = make_threaded(ec);
+  core::StageLoadObserver load(*thr);
   core::EpochRecord rec;
   rec.metric = 0.0;
 
-  sgd_step(thr, fx);
+  sgd_step(*thr, fx);
   load.on_epoch(rec);
   ASSERT_EQ(load.epoch_stats().size(), 1u);
 
@@ -557,15 +563,15 @@ TEST(StageLoadObserver, BaselineResetsOnRepartitionAndSizeChange) {
   PartitionSpec spec;
   spec.strategy = PartitionStrategy::Balanced;
   Partition target = make_partition(fx.model, 4, false, spec);
-  Partition from = thr.partition();
-  thr.repartition(target);
-  thr.reset_stage_stats();
+  Partition from = *thr->partition();
+  thr->repartition(target);
+  thr->reset_stage_stats();
   load.on_repartition(from, target, 1);
 
-  sgd_step(thr, fx);
+  sgd_step(*thr, fx);
   load.on_epoch(rec);
   ASSERT_EQ(load.epoch_stats().size(), 2u);
-  auto fresh = thr.stage_stats();
+  auto fresh = thr->stage_stats();
   const auto& delta = load.epoch_stats().back();
   ASSERT_EQ(delta.size(), fresh.size());
   for (std::size_t s = 0; s < delta.size(); ++s) {

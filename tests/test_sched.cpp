@@ -1,11 +1,11 @@
 // The work-stealing runtime suite (tier1): TaskQueue push/pop/steal
 // mechanics (single-owner order + concurrent stealers), StealPolicy
 // ranking/refresh/parsing, WorkerPool generations, and the StealingEngine
-// guarantees the ISSUE acceptance criteria name — steals-disabled bitwise
-// parity vs the threaded engine, forced-steal bitwise parity vs the
+// guarantees — steals-disabled and forced-steal bitwise parity vs the
 // sequential engine, a (P, N, W) stress sweep asserting no task is lost or
-// run twice, run-to-run reproducible curves in deterministic steal mode,
-// and steal counts surfacing through core::StageLoadObserver.
+// run twice, per-stage idle that sums to the worker idle, run-to-run
+// reproducible curves in deterministic steal mode, and steal counts
+// surfacing through core::StageLoadObserver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "src/nn/linear.h"
 #include "src/nn/model.h"
 #include "src/pipeline/engine.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/sched/steal_policy.h"
 #include "src/sched/stealing_engine.h"
 #include "src/sched/task_queue.h"
@@ -243,16 +242,49 @@ void expect_bitwise_parity(Ref& ref, StealingEngine& eng, MlpFixture& fx, int st
   }
 }
 
-TEST(StealingEngine, StealsDisabledBitwiseMatchesThreaded) {
+TEST(StealingEngine, StealsDisabledBitwiseMatchesSequential) {
+  // W = P with stealing off is the "threaded" preset's configuration.
   for (auto method : {pipeline::Method::Sync, pipeline::Method::PipeDream,
                       pipeline::Method::PipeMare}) {
     MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
     auto cfg = steal_config(method, 4, 4, /*workers=*/4, StealMode::Disabled);
-    pipeline::ThreadedEngine thr(fx.model, cfg.engine, 1);
+    pipeline::PipelineEngine seq(fx.model, cfg.engine, 1);
     StealingEngine eng(fx.model, cfg, 1);
-    expect_bitwise_parity(thr, eng, fx, 4, pipeline::method_name(method));
+    expect_bitwise_parity(seq, eng, fx, 4, pipeline::method_name(method));
     EXPECT_EQ(eng.total_steals(), 0u);
     EXPECT_TRUE(eng.steal_log().empty());
+  }
+}
+
+TEST(StealingEngine, StagePopWaitSumsToWorkerIdle) {
+  // Stage w's pop_wait_ns is worker w's idle wait for w < min(W, P), so
+  // for W <= P the per-stage sum equals the total worker idle.
+  for (int w : {2, 4}) {
+    for (auto mode : {StealMode::Disabled, StealMode::Forced}) {
+      MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
+      StealingEngine eng(fx.model, steal_config(pipeline::Method::PipeMare, 4, 4, w, mode), 1);
+      for (int step = 0; step < 3; ++step) {
+        (void)eng.forward_backward(fx.inputs, fx.targets, fx.head);
+        eng.commit_update();
+      }
+      const std::string label =
+          "W=" + std::to_string(w) + " mode=" + steal_mode_name(mode);
+      auto stages = eng.stage_stats();
+      auto workers = eng.worker_stats();
+      std::uint64_t stage_idle = 0;
+      std::uint64_t worker_idle = 0;
+      for (const auto& st : stages) stage_idle += st.pop_wait_ns;
+      for (const auto& ws : workers) worker_idle += ws.pop_wait_ns;
+      EXPECT_EQ(stage_idle, worker_idle) << label;
+      // Without stealing, every worker but stage 0's idles while the last
+      // backwards drain upstream; forced thieves may never go idle.
+      if (mode == StealMode::Disabled) {
+        EXPECT_GT(worker_idle, 0u) << label;
+      }
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        EXPECT_EQ(stages[i].pop_wait_ns, workers[i].pop_wait_ns) << label << " slot " << i;
+      }
+    }
   }
 }
 
