@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -18,13 +17,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using util::ns_between;
-
-int resolve_worker_count(const HogwildConfig& cfg) {
-  if (cfg.num_workers > 0) return cfg.num_workers;
-  auto cores = static_cast<int>(std::thread::hardware_concurrency());
-  if (cores <= 0) cores = 2;
-  return std::max(1, std::min(cores, cfg.num_microbatches));
-}
 
 }  // namespace
 
@@ -60,9 +52,12 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
   unit_version_.assign(static_cast<std::size_t>(partition_.num_units()), 0);
   staleness_ = pipeline::staleness_histograms(cfg_.num_stages);
 
-  const int w = resolve_worker_count(cfg_);
+  const int w = sched::resolve_workers(cfg_.num_workers, cfg_.num_microbatches);
   stats_.assign(static_cast<std::size_t>(w), pipeline::StageStats{});
   scratch_.resize(static_cast<std::size_t>(w));  // sized by each worker (drain)
+  caches_.resize(static_cast<std::size_t>(w));
+  for (auto& c : caches_) c = model_.make_caches();
+  done_.resize(static_cast<std::size_t>(w));
   // Spawn last: drain() touches every field above.
   pool_ = std::make_unique<sched::WorkerPool>(w, [this](int worker) { drain(worker); });
 }
@@ -103,8 +98,9 @@ void ThreadedHogwildEngine::assemble_delayed_weights(std::vector<float>& w) cons
   }
 }
 
-void ThreadedHogwildEngine::process_micro(int micro, std::vector<float>& w,
-                                          bool& w_ready) {
+void ThreadedHogwildEngine::process_micro(int micro, int worker, bool& w_ready) {
+  std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
+  std::vector<nn::Cache>& caches = caches_[static_cast<std::size_t>(worker)];
   if (mb_failed_.load(std::memory_order_relaxed)) return;
   try {
     if (!w_ready) {
@@ -119,17 +115,15 @@ void ThreadedHogwildEngine::process_micro(int micro, std::vector<float>& w,
     input.training = true;
     input.micro = micro;
     input.step = step_;
-    nn::Flow out = model_.forward(std::move(input), w, caches_[idx]);
+    nn::Flow out = model_.forward(std::move(input), w, caches);
     auto lr = mb_head_->forward_backward(out.x, (*mb_targets_)[idx]);
-    micro_loss_[idx] = lr.loss;
-    micro_correct_[idx] = lr.correct;
-    micro_count_[idx] = lr.count;
+    micro_[idx] = {lr.loss, lr.correct, lr.count};
     if (!std::isfinite(lr.loss)) return;  // gradients unspecified past here
     std::vector<float>& g = micro_grads_[idx];
     g.assign(live_.size(), 0.0F);
     nn::Flow dflow;
     dflow.x = std::move(lr.doutput);
-    (void)model_.backward(std::move(dflow), w, caches_[idx], g);
+    (void)model_.backward(std::move(dflow), w, caches, g);
   } catch (const std::exception& e) {
     record_failure(e.what());
   }
@@ -138,8 +132,7 @@ void ThreadedHogwildEngine::process_micro(int micro, std::vector<float>& w,
 void ThreadedHogwildEngine::drain(int worker) {
   // Each worker sizes (and first touches) its own weight-view buffer on
   // its first minibatch, off the constructing thread.
-  std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
-  w.resize(live_.size());
+  scratch_[static_cast<std::size_t>(worker)].resize(live_.size());
   pipeline::StageStats& stats = stats_[static_cast<std::size_t>(worker)];
   const auto n = static_cast<int>(mb_inputs_->size());
   bool w_ready = false;
@@ -148,11 +141,12 @@ void ThreadedHogwildEngine::drain(int worker) {
     auto t0 = Clock::now();
     {
       obs::Span span("micro", "hogwild", -1, m, step_);
-      process_micro(m, w, w_ready);
+      process_micro(m, worker, w_ready);
     }
     stats.busy_ns += ns_between(t0, Clock::now());
     ++stats.items;
   }
+  done_[static_cast<std::size_t>(worker)] = Clock::now();
 }
 
 ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
@@ -163,14 +157,8 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
     throw std::invalid_argument("ThreadedHogwildEngine: bad microbatch vectors");
   }
   auto un = static_cast<std::size_t>(n);
-  micro_loss_.assign(un, 0.0);
-  micro_correct_.assign(un, 0.0);
-  micro_count_.assign(un, 0.0);
+  micro_.assign(un, StepResult{});
   if (micro_grads_.size() < un) micro_grads_.resize(un);
-  if (caches_.size() < un) caches_.resize(un);
-  for (auto& c : caches_) {
-    if (static_cast<int>(c.size()) != model_.num_modules()) c = model_.make_caches();
-  }
 
   // Sample this step's per-unit weight versions on the trainer thread —
   // the same draws, in the same order, as HogwildEngine (eq. 17: a
@@ -196,6 +184,12 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
   mb_failed_.store(false);
   next_micro_.store(0, std::memory_order_relaxed);
   pool_->run_generation();
+  // A worker that ran out of microbatches idles in the pool barrier until
+  // the last one finishes: charge that tail to its pop_wait_ns.
+  const auto last_done = *std::max_element(done_.begin(), done_.end());
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
+    stats_[i].pop_wait_ns += ns_between(done_[i], last_done);
+  }
   mb_inputs_ = nullptr;
   mb_targets_ = nullptr;
   mb_head_ = nullptr;
@@ -208,31 +202,13 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
 
   // Deterministic merge in microbatch order, matching the sequential
   // engine's accumulation (and the unified non-finite contract).
-  StepResult result;
-  for (int m = 0; m < n; ++m) {
-    double loss = micro_loss_[static_cast<std::size_t>(m)];
-    if (!std::isfinite(loss)) {
-      result.finite = false;
-      result.loss = loss;
-      result.correct = 0.0;
-      result.count = 0.0;
-      return result;
+  return pipeline::merge_microbatches(micro_, grads_, [&] {
+    std::fill(grads_.begin(), grads_.end(), 0.0F);
+    for (int m = 0; m < n; ++m) {
+      const std::vector<float>& g = micro_grads_[static_cast<std::size_t>(m)];
+      for (std::size_t i = 0; i < grads_.size(); ++i) grads_[i] += g[i];
     }
-    result.loss += loss / n;
-    result.correct += micro_correct_[static_cast<std::size_t>(m)];
-    result.count += micro_count_[static_cast<std::size_t>(m)];
-  }
-  std::fill(grads_.begin(), grads_.end(), 0.0F);
-  for (int m = 0; m < n; ++m) {
-    const std::vector<float>& g = micro_grads_[static_cast<std::size_t>(m)];
-    for (std::size_t i = 0; i < grads_.size(); ++i) grads_[i] += g[i];
-  }
-  auto inv_n = 1.0F / static_cast<float>(n);
-  for (float& g : grads_) {
-    g *= inv_n;
-    if (!std::isfinite(g)) result.finite = false;
-  }
-  return result;
+  });
 }
 
 void ThreadedHogwildEngine::commit_update() {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -100,8 +101,9 @@ class ThreadedHogwildEngine {
   /// Per-*worker* load counters (this backend has no stage workers; its
   /// unit of execution parallelism is the free-running worker thread):
   /// busy_ns = compute of the microbatches the worker processed, items =
-  /// microbatches processed; pop_wait_ns stays 0, since claiming a
-  /// microbatch never blocks. Cumulative since construction (or the last
+  /// microbatches processed, pop_wait_ns = time from the worker running out
+  /// of microbatches to the last worker finishing (claiming never blocks;
+  /// that tail is the step's idle). Cumulative since construction (or the last
   /// reset); the same shape the pipeline backends report per stage, so
   /// core::StageLoadObserver samples every multithreaded backend
   /// uniformly. Call between minibatches (the generation barrier orders
@@ -114,7 +116,7 @@ class ThreadedHogwildEngine {
 
  private:
   void drain(int worker);
-  void process_micro(int micro, std::vector<float>& w, bool& w_ready);
+  void process_micro(int micro, int worker, bool& w_ready);
   void assemble_delayed_weights(std::vector<float>& w) const;
   void record_failure(const char* what);
 
@@ -160,20 +162,22 @@ class ThreadedHogwildEngine {
   const std::vector<nn::Flow>* mb_inputs_ = nullptr;
   const std::vector<tensor::Tensor>* mb_targets_ = nullptr;
   const nn::LossHead* mb_head_ = nullptr;
-  std::vector<double> micro_loss_;
-  std::vector<double> micro_correct_;
-  std::vector<double> micro_count_;
+  std::vector<StepResult> micro_;  ///< per micro: loss slots (ordered merge)
   std::vector<std::vector<float>> micro_grads_;
-  std::vector<std::vector<nn::Cache>> caches_;  ///< per microbatch
   std::atomic<bool> mb_failed_{false};
   util::Mutex error_m_;
   std::string mb_error_ GUARDED_BY(error_m_);  ///< first worker exception
 
-  /// Per-worker load counters and weight-view buffers. Each slot is
-  /// written only by its worker; readers run between minibatches, ordered
-  /// by the pool barrier, so plain fields suffice.
+  /// Per-worker load counters, weight-view buffers, activation caches (a
+  /// worker runs one microbatch's forward and backward back to back, so
+  /// one cache set per worker suffices) and the time the worker ran out of
+  /// microbatches. Each slot is written only by its worker; readers run
+  /// between minibatches, ordered by the pool barrier, so plain fields
+  /// suffice.
   std::vector<pipeline::StageStats> stats_;
   std::vector<std::vector<float>> scratch_;
+  std::vector<std::vector<nn::Cache>> caches_;
+  std::vector<std::chrono::steady_clock::time_point> done_;
 
   std::unique_ptr<sched::WorkerPool> pool_;  ///< last member: joins before teardown
 };

@@ -18,6 +18,31 @@ std::string method_name(Method m) {
   return "?";
 }
 
+StepResult merge_microbatches(std::span<const StepResult> micro, std::span<float> grads,
+                              const std::function<void()>& accumulate) {
+  const auto n = static_cast<int>(micro.size());
+  StepResult result;
+  for (const StepResult& m : micro) {
+    if (!std::isfinite(m.loss)) {
+      result.finite = false;
+      result.loss = m.loss;
+      result.correct = 0.0;
+      result.count = 0.0;
+      return result;
+    }
+    result.loss += m.loss / n;
+    result.correct += m.correct;
+    result.count += m.count;
+  }
+  if (accumulate) accumulate();
+  auto inv_n = 1.0F / static_cast<float>(n);
+  for (float& g : grads) {
+    g *= inv_n;
+    if (!std::isfinite(g)) result.finite = false;
+  }
+  return result;
+}
+
 std::vector<optim::LrSegment> stage_lr_segments(const Partition& partition,
                                                 double base_lr,
                                                 std::span<const double> scales) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,15 @@ struct StepResult {
   double count = 0.0;    ///< metric denominator
   bool finite = true;    ///< false if loss or gradients went non-finite
 };
+
+/// Finishes a minibatch of the multithreaded engines, whose microbatches
+/// each write their own `micro` slot wherever they ran: merges the slots in
+/// microbatch order (replaying the sequential engine's in-order sum, and the
+/// non-finite contract above), then — only if every loss is finite — runs
+/// `accumulate` (optional: sums per-microbatch gradients into `grads`) and
+/// scales `grads` by 1/N with the finiteness sweep.
+StepResult merge_microbatches(std::span<const StepResult> micro, std::span<float> grads,
+                              const std::function<void()>& accumulate = {});
 
 /// Per-stage optimizer segments for a partition with the given base LR and
 /// per-stage scale factors (from the T1 rescheduler). Scales may be empty

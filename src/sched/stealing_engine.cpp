@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -23,13 +21,6 @@ using util::ns_between;
 /// Steal-log soft cap: the log is an opt-in debugging artifact; a long run
 /// with logging left on must not grow without bound.
 constexpr std::size_t kMaxStealLog = std::size_t{1} << 20;
-
-int resolve_worker_count(const StealConfig& cfg) {
-  if (cfg.workers > 0) return cfg.workers;
-  auto cores = static_cast<int>(std::thread::hardware_concurrency());
-  if (cores <= 0) cores = 2;
-  return std::max(1, std::min(cores, cfg.engine.num_stages));
-}
 
 /// Predicted per-stage busy shares for the StealPolicy seed. A balanced
 /// partition already carries cost-model stage costs; a uniform partition's
@@ -89,33 +80,30 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
 
   const int p = cfg_.engine.num_stages;
   const int n = cfg_.engine.num_microbatches;
-  caches_.resize(static_cast<std::size_t>(n));
+  // The 1F1B window bounds the live cache sets (see the class comment).
+  caches_.resize(static_cast<std::size_t>(std::min(n, p)));
   for (auto& c : caches_) c = model_.make_caches();
   fwd_flow_.resize(static_cast<std::size_t>(n));
   bwd_flow_.resize(static_cast<std::size_t>(n));
-  micro_loss_.assign(static_cast<std::size_t>(n), 0.0);
-  micro_correct_.assign(static_cast<std::size_t>(n), 0.0);
-  micro_count_.assign(static_cast<std::size_t>(n), 0.0);
+  micro_.resize(static_cast<std::size_t>(n));
   next_bwd_.assign(static_cast<std::size_t>(p), 0);
   bwd_ready_.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(n), 0);
   fwd_admitted_.assign(static_cast<std::size_t>(p), 0);
   fwd_parked_.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(n), 0);
   inflight_high_water_.assign(static_cast<std::size_t>(p), 0);
 
-  queues_.reserve(static_cast<std::size_t>(p));
-  for (int s = 0; s < p; ++s) queues_.push_back(std::make_unique<TaskQueue>());
-  stage_counters_ = std::make_unique<AtomicStageCounters[]>(static_cast<std::size_t>(p));
+  const int w = resolve_workers(cfg_.workers, p);
+  scratch_.resize(static_cast<std::size_t>(w));  // sized by each worker (execute)
 
-  const int w = resolve_worker_count(cfg_);
-  home_stages_.resize(static_cast<std::size_t>(w));
-  for (int s = 0; s < p; ++s) {
-    home_stages_[static_cast<std::size_t>(s % w)].push_back(s);
-  }
-  worker_stats_.assign(static_cast<std::size_t>(w), StageStats{});
-  scratch_.resize(static_cast<std::size_t>(w));  // sized by each worker (drain)
-
-  // Spawn last: drain() touches every field above.
-  pool_ = std::make_unique<WorkerPool>(w, [this](int worker) { drain(worker); });
+  // Spawn last: the hooks touch every field above.
+  exec_ = std::make_unique<StageExecutor>(
+      p, w,
+      StageExecutor::Client{
+          [this](int worker, const Task& task, bool stolen) {
+            return execute(worker, task, stolen);
+          },
+          [this] { return finished(); },
+          {}});
 }
 
 StealingEngine::~StealingEngine() = default;
@@ -125,7 +113,7 @@ void StealingEngine::repartition(const pipeline::Partition& next) {
   // Quiescent point: between minibatches the workers are parked on the
   // pool barrier; the next generation's release barrier publishes the new
   // ranges / staleness map / victim order. Stage count is unchanged, so
-  // the per-stage queues, counters and home assignments stay valid.
+  // the executor's queues, counters and home assignments stay valid.
   partition_ = next;
   ranges_ = pipeline::stage_module_ranges(partition_);
   // Reseed the victim ranking from the new split's predicted stage costs
@@ -144,53 +132,35 @@ void StealingEngine::record_failure(const char* what) {
 
 void StealingEngine::push_forward_locked(int stage, int micro) {
   const auto s = static_cast<std::size_t>(stage);
-  queues_[s]->push({Task::Kind::Forward, stage, micro});
-  ++push_version_;
+  exec_->push({Task::Kind::Forward, stage, micro});
   const auto inflight = static_cast<std::size_t>(++fwd_admitted_[s] - next_bwd_[s]);
   inflight_high_water_[s] = std::max(inflight_high_water_[s], inflight);
 }
 
-bool StealingEngine::admit_forward_locked(int stage, int micro) {
+void StealingEngine::admit_forward_locked(int stage, int micro) {
   const auto s = static_cast<std::size_t>(stage);
   if (micro - next_bwd_[s] < admission_window(stage)) {
     push_forward_locked(stage, micro);
-    return true;
+    return;
   }
   // Outside the 1F1B window: run_backward releases it when the stage's
   // backward chain advances far enough.
   fwd_parked_[s * static_cast<std::size_t>(cfg_.engine.num_microbatches) +
               static_cast<std::size_t>(micro)] = 1;
-  return false;
-}
-
-void StealingEngine::admit_forward(int stage, int micro) {
-  bool pushed = false;
-  {
-    util::MutexLock lock(sched_m_);
-    pushed = admit_forward_locked(stage, micro);
-  }
-  if (pushed) sched_cv_.notify_all();
 }
 
 void StealingEngine::mark_backward_ready(int stage, int micro) {
   const int n = cfg_.engine.num_microbatches;
-  bool notify = false;
-  {
-    util::MutexLock lock(sched_m_);
-    bwd_ready_[static_cast<std::size_t>(stage) * static_cast<std::size_t>(n) +
-               static_cast<std::size_t>(micro)] = 1;
-    // Enqueue only at the chain head; Backward(stage, micro) with an
-    // uncompleted predecessor is enqueued by that predecessor's
-    // chain-advance instead. Both checks run under sched_m_, so exactly
-    // one path fires.
-    if (next_bwd_[static_cast<std::size_t>(stage)] == micro) {
-      queues_[static_cast<std::size_t>(stage)]->push(
-          {Task::Kind::Backward, stage, micro});
-      ++push_version_;
-      notify = true;
-    }
+  util::MutexLock lock(sched_m_);
+  bwd_ready_[static_cast<std::size_t>(stage) * static_cast<std::size_t>(n) +
+             static_cast<std::size_t>(micro)] = 1;
+  // Enqueue only at the chain head; Backward(stage, micro) with an
+  // uncompleted predecessor is enqueued by that predecessor's
+  // chain-advance instead. Both checks run under sched_m_, so exactly
+  // one path fires.
+  if (next_bwd_[static_cast<std::size_t>(stage)] == micro) {
+    exec_->push({Task::Kind::Backward, stage, micro});
   }
-  if (notify) sched_cv_.notify_all();
 }
 
 void StealingEngine::complete_task() {
@@ -199,111 +169,49 @@ void StealingEngine::complete_task() {
     util::MutexLock lock(sched_m_);
     all_done = --remaining_ == 0;
   }
-  if (all_done) sched_cv_.notify_all();
+  // After the decrement: a worker that read the executor's version before
+  // it either sees finished() or is woken by this bump.
+  if (all_done) exec_->notify();
 }
 
-bool StealingEngine::acquire_home(int worker, Task& out) {
-  for (int s : home_stages_[static_cast<std::size_t>(worker)]) {
-    if (queues_[static_cast<std::size_t>(s)]->pop(out)) return true;
+bool StealingEngine::finished() const {
+  util::MutexLock lock(sched_m_);
+  return remaining_ == 0;
+}
+
+void StealingEngine::record_steal(int worker, const Task& task) {
+  obs::instant("steal", "sched", task.stage, task.micro, store_.step());
+  if (!policy_.deterministic() && !cfg_.record_log) return;
+  util::MutexLock lock(sched_m_);
+  if (steal_log_.size() < kMaxStealLog) {
+    steal_log_.push_back({store_.step(), worker, task.stage, task.micro, task.kind});
+  } else {
+    ++dropped_log_entries_;
+    // Mirrored in the registry: the in-object counter needs a lock and an
+    // engine pointer to read, the metric shows up in every snapshot.
+    static obs::Counter& dropped =
+        obs::MetricsRegistry::instance().counter("sched.steal_log_dropped");
+    dropped.add();
   }
-  return false;
 }
 
-bool StealingEngine::acquire_steal(int worker, Task& out, bool& stolen) {
-  for (int s : policy_.victim_order()) {
-    if (!queues_[static_cast<std::size_t>(s)]->steal(out)) continue;
-    if (home_worker(s) != worker) {
-      stolen = true;
-      stage_counters_[static_cast<std::size_t>(s)].stolen_items.fetch_add(
-          1, std::memory_order_relaxed);
-      worker_stats_[static_cast<std::size_t>(worker)].stolen_items += 1;
-      static obs::Counter& steals =
-          obs::MetricsRegistry::instance().counter("sched.steals");
-      steals.add();
-      obs::instant("steal", "sched", out.stage, out.micro, store_.step());
-      if (policy_.deterministic() || cfg_.record_log) {
-        util::MutexLock lock(sched_m_);
-        if (steal_log_.size() < kMaxStealLog) {
-          steal_log_.push_back(
-              {store_.step(), worker, out.stage, out.micro, out.kind});
-        } else {
-          ++dropped_log_entries_;
-          // Mirrored in the registry: the in-object counter needs a lock
-          // and an engine pointer to read, the metric shows up in every
-          // snapshot (satellite: surface steal-log drops).
-          static obs::Counter& dropped =
-              obs::MetricsRegistry::instance().counter("sched.steal_log_dropped");
-          dropped.add();
-        }
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-bool StealingEngine::acquire(int worker, Task& out, bool& stolen) {
-  stolen = false;
-  if (policy_.steal_first()) {
-    return acquire_steal(worker, out, stolen) || acquire_home(worker, out);
-  }
-  if (acquire_home(worker, out)) return true;
-  return policy_.steal_enabled() && acquire_steal(worker, out, stolen);
-}
-
-void StealingEngine::drain(int worker) {
+std::uint64_t StealingEngine::execute(int worker, const Task& task, bool stolen) {
+  if (stolen) record_steal(worker, task);
   // Each worker sizes (and first touches) its own weight buffer on its
-  // first minibatch, off the constructing thread.
+  // first task, off the constructing thread.
   std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
-  w.resize(store_.live().size());
-  StageStats& ws = worker_stats_[static_cast<std::size_t>(worker)];
-  for (;;) {
-    std::uint64_t version;
-    {
-      util::MutexLock lock(sched_m_);
-      if (remaining_ == 0) return;
-      version = push_version_;
-    }
-    Task task;
-    bool stolen = false;
-    if (acquire(worker, task, stolen)) {
-      execute(worker, task, stolen, w);
-      continue;
-    }
-    // Nothing admissible anywhere: sleep until a push bumps the version
-    // (re-scan) or the last task completes (exit). Reading `version`
-    // before the scan makes the wait race-free — a push between scan and
-    // wait leaves push_version_ != version, so the wait condition is
-    // already true and we never sleep through work.
-    auto t0 = Clock::now();
-    {
-      obs::Span bubble("pop_wait", "sched", -1, -1, store_.step());
-      util::MutexLock lock(sched_m_);
-      while (remaining_ != 0 && push_version_ == version) sched_cv_.wait(sched_m_);
-    }
-    ws.pop_wait_ns += ns_between(t0, Clock::now());
+  if (w.empty()) w.resize(store_.live().size());
+  std::uint64_t busy = 0;
+  {
+    obs::Span span(task.kind == Task::Kind::Forward ? "fwd" : "bwd", "sched",
+                   task.stage, task.micro, store_.step());
+    busy = task.kind == Task::Kind::Forward ? run_forward(task, w) : run_backward(task, w);
+    complete_task();
   }
+  return busy;
 }
 
-void StealingEngine::execute(int worker, const Task& task, bool stolen,
-                             std::vector<float>& w) {
-  obs::Span span(task.kind == Task::Kind::Forward ? "fwd" : "bwd", "sched",
-                 task.stage, task.micro, store_.step());
-  std::uint64_t busy = task.kind == Task::Kind::Forward
-                           ? run_forward(worker, task, w)
-                           : run_backward(worker, task, w);
-  AtomicStageCounters& sc = stage_counters_[static_cast<std::size_t>(task.stage)];
-  sc.busy_ns.fetch_add(busy, std::memory_order_relaxed);
-  sc.items.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) sc.stolen_ns.fetch_add(busy, std::memory_order_relaxed);
-  StageStats& ws = worker_stats_[static_cast<std::size_t>(worker)];
-  ws.busy_ns += busy;
-  ws.items += 1;
-  complete_task();
-}
-
-std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
-                                          std::vector<float>& w) {
+std::uint64_t StealingEngine::run_forward(const Task& task, std::vector<float>& w) {
   const int s = task.stage;
   const int m = task.micro;
   const StageRange& r = ranges_[static_cast<std::size_t>(s)];
@@ -316,7 +224,7 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
       auto t0 = Clock::now();
       store_.assemble_forward_units(r.unit_first, r.unit_last, m, w);
       out = model_.forward_range(r.module_first, r.module_last, std::move(in), w,
-                                 caches_[static_cast<std::size_t>(m)]);
+                                 caches_[static_cast<std::size_t>(m) % caches_.size()]);
       busy += ns_between(t0, Clock::now());
     } catch (const std::exception& e) {
       record_failure(e.what());
@@ -324,7 +232,8 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
   }
   if (!last) {
     fwd_flow_[static_cast<std::size_t>(m)] = std::move(out);
-    admit_forward(s + 1, m);
+    util::MutexLock lock(sched_m_);
+    admit_forward_locked(s + 1, m);
     return busy;
   }
   // Tail stage: loss into this microbatch's slot (slots are merged in
@@ -338,9 +247,7 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
       nn::LossResult lr = mb_head_->forward_backward(
           out.x, (*mb_targets_)[static_cast<std::size_t>(m)]);
       busy += ns_between(t0, Clock::now());
-      micro_loss_[static_cast<std::size_t>(m)] = lr.loss;
-      micro_correct_[static_cast<std::size_t>(m)] = lr.correct;
-      micro_count_[static_cast<std::size_t>(m)] = lr.count;
+      micro_[static_cast<std::size_t>(m)] = {lr.loss, lr.correct, lr.count};
       dflow.x = std::move(lr.doutput);
     } catch (const std::exception& e) {
       record_failure(e.what());
@@ -351,8 +258,7 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
   return busy;
 }
 
-std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
-                                           std::vector<float>& w) {
+std::uint64_t StealingEngine::run_backward(const Task& task, std::vector<float>& w) {
   const int s = task.stage;
   const int m = task.micro;
   const int n = cfg_.engine.num_microbatches;
@@ -365,7 +271,8 @@ std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
       auto t0 = Clock::now();
       store_.assemble_backward_units(r.unit_first, r.unit_last, m, w);
       din = model_.backward_range(r.module_first, r.module_last, std::move(dflow), w,
-                                  caches_[static_cast<std::size_t>(m)], grads_);
+                                  caches_[static_cast<std::size_t>(m) % caches_.size()],
+                                  grads_);
       busy += ns_between(t0, Clock::now());
     } catch (const std::exception& e) {
       record_failure(e.what());
@@ -382,24 +289,17 @@ std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
   // gradient arrived while we were running. Retiring micro m also slides
   // the 1F1B window by one, admitting Forward(s, m + window) if it was
   // parked.
-  bool notify = false;
-  {
-    util::MutexLock lock(sched_m_);
-    const auto row = static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
-    next_bwd_[static_cast<std::size_t>(s)] = m + 1;
-    if (m + 1 < n && bwd_ready_[row + static_cast<std::size_t>(m) + 1] != 0) {
-      queues_[static_cast<std::size_t>(s)]->push({Task::Kind::Backward, s, m + 1});
-      ++push_version_;
-      notify = true;
-    }
-    const int released = m + admission_window(s);
-    if (released < n && fwd_parked_[row + static_cast<std::size_t>(released)] != 0) {
-      fwd_parked_[row + static_cast<std::size_t>(released)] = 0;
-      push_forward_locked(s, released);
-      notify = true;
-    }
+  util::MutexLock lock(sched_m_);
+  const auto row = static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
+  next_bwd_[static_cast<std::size_t>(s)] = m + 1;
+  if (m + 1 < n && bwd_ready_[row + static_cast<std::size_t>(m) + 1] != 0) {
+    exec_->push({Task::Kind::Backward, s, m + 1});
   }
-  if (notify) sched_cv_.notify_all();
+  const int released = m + admission_window(s);
+  if (released < n && fwd_parked_[row + static_cast<std::size_t>(released)] != 0) {
+    fwd_parked_[row + static_cast<std::size_t>(released)] = 0;
+    push_forward_locked(s, released);
+  }
   return busy;
 }
 
@@ -413,9 +313,7 @@ StealingEngine::StepResult StealingEngine::forward_backward(
     throw std::invalid_argument("forward_backward: expected N microbatches");
   }
   std::fill(grads_.begin(), grads_.end(), 0.0F);
-  std::fill(micro_loss_.begin(), micro_loss_.end(), 0.0);
-  std::fill(micro_correct_.begin(), micro_correct_.end(), 0.0);
-  std::fill(micro_count_.begin(), micro_count_.end(), 0.0);
+  std::fill(micro_.begin(), micro_.end(), StepResult{});
   for (int m = 0; m < n; ++m) {
     nn::Flow in = micro_inputs[static_cast<std::size_t>(m)];
     in.training = true;
@@ -431,14 +329,12 @@ StealingEngine::StepResult StealingEngine::forward_backward(
   // LoadAware victim re-ranking from the cumulative busy counters (no-op
   // in the other modes; the first minibatch keeps the cost-model seed).
   {
-    std::vector<std::uint64_t> busy(static_cast<std::size_t>(p));
-    for (int s = 0; s < p; ++s) {
-      busy[static_cast<std::size_t>(s)] =
-          stage_counters_[static_cast<std::size_t>(s)].busy_ns.load(
-              std::memory_order_relaxed);
-    }
+    std::vector<std::uint64_t> busy;
+    busy.reserve(static_cast<std::size_t>(p));
+    for (const StageStats& st : exec_->stage_stats()) busy.push_back(st.busy_ns);
     policy_.refresh(busy);
   }
+  exec_->set_victims(policy_.victim_order(), policy_.steal_first());
 
   {
     // Workers are parked in the pool barrier here, so taking sched_m_ is
@@ -446,18 +342,16 @@ StealingEngine::StepResult StealingEngine::forward_backward(
     // of the gating state never race a straggler.
     util::MutexLock lock(sched_m_);
     remaining_ = 2 * n * p;
-    push_version_ = 0;
     std::fill(next_bwd_.begin(), next_bwd_.end(), 0);
     std::fill(bwd_ready_.begin(), bwd_ready_.end(), 0);
     std::fill(fwd_admitted_.begin(), fwd_admitted_.end(), 0);
     std::fill(fwd_parked_.begin(), fwd_parked_.end(), 0);
     mb_error_.clear();
     // Every input is ready; stage 0's window admits the first
-    // admission_window(0) and parks the rest. Workers are parked in the pool barrier, so no
-    // notification is needed.
-    for (int m = 0; m < n; ++m) (void)admit_forward_locked(0, m);
+    // admission_window(0) and parks the rest.
+    for (int m = 0; m < n; ++m) admit_forward_locked(0, m);
   }
-  pool_->run_generation();
+  exec_->run(store_.step());
   mb_targets_ = nullptr;
   mb_head_ = nullptr;
   if (mb_failed_.load()) {
@@ -466,60 +360,12 @@ StealingEngine::StepResult StealingEngine::forward_backward(
   }
 
   // Ordered merge of the per-microbatch slots: bitwise-identical to the
-  // sequential engine's in-order accumulation (and the unified non-finite
-  // StepResult contract: first non-finite loss in microbatch order,
-  // zeroed metrics, gradients unspecified).
-  StepResult result;
-  for (int m = 0; m < n; ++m) {
-    double loss = micro_loss_[static_cast<std::size_t>(m)];
-    if (!std::isfinite(loss)) {
-      result.finite = false;
-      result.loss = loss;
-      result.correct = 0.0;
-      result.count = 0.0;
-      return result;
-    }
-    result.loss += loss / n;
-    result.correct += micro_correct_[static_cast<std::size_t>(m)];
-    result.count += micro_count_[static_cast<std::size_t>(m)];
-  }
-  // Same normalization and finiteness sweep as the sequential engine.
-  auto inv_n = 1.0F / static_cast<float>(n);
-  for (float& g : grads_) {
-    g *= inv_n;
-    if (!std::isfinite(g)) result.finite = false;
-  }
-  return result;
-}
-
-std::vector<StealingEngine::StageStats> StealingEngine::stage_stats() const {
-  const int p = cfg_.engine.num_stages;
-  std::vector<StageStats> out(static_cast<std::size_t>(p));
-  for (int s = 0; s < p; ++s) {
-    const AtomicStageCounters& c = stage_counters_[static_cast<std::size_t>(s)];
-    StageStats& st = out[static_cast<std::size_t>(s)];
-    st.busy_ns = c.busy_ns.load(std::memory_order_relaxed);
-    st.items = c.items.load(std::memory_order_relaxed);
-    st.stolen_items = c.stolen_items.load(std::memory_order_relaxed);
-    st.stolen_ns = c.stolen_ns.load(std::memory_order_relaxed);
-  }
-  // Worker w is home to stage w (w < min(W, P)): its idle wait is that
-  // stage's bubble.
-  const std::size_t slots = std::min(worker_stats_.size(), out.size());
-  for (std::size_t w = 0; w < slots; ++w) out[w].pop_wait_ns = worker_stats_[w].pop_wait_ns;
-  return out;
+  // sequential engine's in-order accumulation.
+  return pipeline::merge_microbatches(micro_, grads_);
 }
 
 void StealingEngine::reset_stage_stats() {
-  const int p = cfg_.engine.num_stages;
-  for (int s = 0; s < p; ++s) {
-    AtomicStageCounters& c = stage_counters_[static_cast<std::size_t>(s)];
-    c.busy_ns.store(0, std::memory_order_relaxed);
-    c.items.store(0, std::memory_order_relaxed);
-    c.stolen_items.store(0, std::memory_order_relaxed);
-    c.stolen_ns.store(0, std::memory_order_relaxed);
-  }
-  worker_stats_.assign(worker_stats_.size(), StageStats{});
+  exec_->reset_stats();
   util::MutexLock lock(sched_m_);
   std::fill(inflight_high_water_.begin(), inflight_high_water_.end(), 0);
 }
@@ -527,10 +373,6 @@ void StealingEngine::reset_stage_stats() {
 std::vector<std::size_t> StealingEngine::inflight_high_water() const {
   util::MutexLock lock(sched_m_);
   return inflight_high_water_;
-}
-
-std::vector<StealingEngine::StageStats> StealingEngine::worker_stats() const {
-  return worker_stats_;
 }
 
 std::uint64_t StealingEngine::total_steals() const {

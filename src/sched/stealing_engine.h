@@ -16,9 +16,8 @@
 #include "src/pipeline/schedule.h"
 #include "src/pipeline/stage_stats.h"
 #include "src/pipeline/weight_versions.h"
+#include "src/sched/stage_executor.h"
 #include "src/sched/steal_policy.h"
-#include "src/sched/task_queue.h"
-#include "src/sched/worker_pool.h"
 #include "src/util/sync.h"
 
 namespace pipemare::sched {
@@ -49,15 +48,17 @@ struct StealRecord {
 /// core::BackendRegistry twice: as "threaded_steal" (the StealOptions
 /// knobs) and as the "threaded" preset (W = P workers, StealMode::Disabled:
 /// stage-per-thread 1F1B). Instead of pinning one thread per stage, W
-/// workers — W chosen independently of P — drain per-stage TaskQueue
-/// deques of *ready* forward/backward microbatch tasks, and an idle worker
-/// steals the oldest ready task from the stage the StealPolicy ranks
-/// busiest (seeded from the partition cost model's predicted stage costs,
-/// re-ranked between minibatches from the observed per-stage busy
-/// counters). Stage s is *home* to worker s mod W; any other worker
-/// executing its tasks is a thief, counted in the stolen_items / stolen_ns
-/// stats and (in the deterministic modes or with record_log) appended to
-/// the steal log.
+/// workers — W chosen independently of P — drain the per-stage queues of
+/// *ready* forward/backward microbatch tasks of a sched::StageExecutor, and
+/// an idle worker steals the oldest ready task from the stage the
+/// StealPolicy ranks busiest (seeded from the partition cost model's
+/// predicted stage costs, re-ranked between minibatches from the observed
+/// per-stage busy counters). Stage s is *home* to worker s mod W; any other
+/// worker executing its tasks is a thief, counted in the stolen_items /
+/// stolen_ns stats and (in the deterministic modes or with record_log)
+/// appended to the steal log. This engine is the executor's training
+/// client: it owns the readiness rules below, the executor owns the
+/// queues, the workers and the load counters.
 ///
 /// 1F1B admission (every mode): Forward(s, m) is admissible only while
 /// m - next_bwd[s] < max(1, min(N, P - s)), where next_bwd[s] is the
@@ -67,8 +68,11 @@ struct StealRecord {
 /// when the stage's backward chain advances. The oldest unretired
 /// microbatch is always admissible at every stage, so the rule cannot
 /// deadlock. It bounds the microbatches admitted per stage (see
-/// inflight_high_water()), not the per-microbatch activation caches,
-/// which are allocated for all N microbatches.
+/// inflight_high_water()), and with them the activation caches: the engine
+/// keeps R = min(N, P) full-model cache sets, microbatch m using set
+/// m mod R. Every window is at most R, so Forward(s, m + R) is admitted
+/// only after Backward(s, m) retired, and stages touch disjoint module
+/// entries of a set — a reused set never overwrites a live cache.
 ///
 /// PipeMare semantics are preserved exactly: a stolen task executes with
 /// the *owner stage's* weight version — every (stage, microbatch) forward
@@ -83,7 +87,7 @@ struct StealRecord {
 /// assert it), and bitwise run-to-run reproducible in every mode:
 ///  1. weight views are pure functions of (stage, micro, step) through
 ///     WeightVersions, frozen within a minibatch;
-///  2. forwards of a stage touch disjoint per-microbatch caches and
+///  2. forwards of a stage touch distinct cache sets (see above) and
 ///     counter-based Dropout masks are draw-order-independent, so their
 ///     execution order is free;
 ///  3. backwards of a stage are serialized in microbatch order by a
@@ -146,7 +150,7 @@ class StealingEngine {
   const StealConfig& config() const { return cfg_; }
   const StealPolicy& policy() const { return policy_; }
   std::int64_t steps_taken() const { return store_.step(); }
-  int num_workers() const { return pool_->size(); }
+  int num_workers() const { return exec_->num_workers(); }
 
   std::vector<double> stage_tau_fwd() const {
     return pipeline::stage_tau_fwd_vector(schedule_);
@@ -156,15 +160,11 @@ class StealingEngine {
     return pipeline::stage_lr_segments(partition_, base_lr, scales);
   }
 
-  /// Per-*stage* load counters, cumulative since construction (or the last
-  /// reset): busy/items of the stage's tasks wherever they executed, plus
-  /// stolen_items / stolen_ns for the share executed by non-home workers.
-  /// Waiting is worker-side, so stage w's pop_wait_ns is worker w's idle
-  /// wait for w < min(W, P): exact per stage when W == P (the "threaded"
-  /// preset), and for W <= P the per-stage sum is the total worker idle.
-  /// push_wait_ns is 0 (task hand-off never blocks). Call between
-  /// minibatches.
-  std::vector<StageStats> stage_stats() const;
+  /// Per-*stage* load counters (StageExecutor::stage_stats): busy/items of
+  /// the stage's tasks wherever they executed, plus stolen_items /
+  /// stolen_ns for the share executed by non-home workers. push_wait_ns is
+  /// 0 (task hand-off never blocks). Call between minibatches.
+  std::vector<StageStats> stage_stats() const { return exec_->stage_stats(); }
   void reset_stage_stats();
 
   /// Per-stage peak of admitted-but-unretired microbatches (forward
@@ -173,12 +173,12 @@ class StealingEngine {
   /// keeps stage s at most max(1, min(N, P - s)). Call between minibatches.
   std::vector<std::size_t> inflight_high_water() const;
 
-  /// Per-*worker* load counters: busy time, pop_wait_ns = time idle waiting
-  /// for any admissible task, items executed, stolen_items = tasks taken
-  /// from stages the worker is not home to. The busy spread across workers
-  /// is the number stealing actually flattens (per-stage busy is invariant
-  /// under stealing — a stage's compute is its compute wherever it runs).
-  std::vector<StageStats> worker_stats() const;
+  /// Per-*worker* load counters: pop_wait_ns = time idle waiting for any
+  /// admissible task, stolen_items = tasks taken from stages the worker is
+  /// not home to. The busy spread across workers is the number stealing
+  /// actually flattens (per-stage busy is invariant under stealing — a
+  /// stage's compute is its compute wherever it runs).
+  std::vector<StageStats> worker_stats() const { return exec_->worker_stats(); }
 
   /// The steal log (populated in the deterministic modes or when
   /// cfg.record_log is set; capped — see dropped_log_entries()). Call
@@ -194,37 +194,23 @@ class StealingEngine {
  private:
   using StageRange = pipeline::StageModuleRange;
 
-  /// Per-stage counters with multi-writer slots (two thieves can execute
-  /// forwards of the same stage concurrently), hence atomics; relaxed
-  /// increments, read between minibatches under the pool barrier.
-  struct AtomicStageCounters {
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> items{0};
-    std::atomic<std::uint64_t> stolen_items{0};
-    std::atomic<std::uint64_t> stolen_ns{0};
-  };
-
-  void drain(int worker);
-  /// Fills `out` with the next task for `worker`; `stolen` reports whether
-  /// it came from a stage the worker is not home to.
-  bool acquire(int worker, Task& out, bool& stolen);
-  bool acquire_home(int worker, Task& out);
-  bool acquire_steal(int worker, Task& out, bool& stolen);
-  void execute(int worker, const Task& task, bool stolen, std::vector<float>& w);
+  /// The executor hooks: run one task (returns its busy nanoseconds), and
+  /// "every task of the minibatch completed".
+  std::uint64_t execute(int worker, const Task& task, bool stolen);
+  bool finished() const;
+  void record_steal(int worker, const Task& task);
   /// Run one task's compute; returns the busy nanoseconds spent.
-  std::uint64_t run_forward(int worker, const Task& task, std::vector<float>& w);
-  std::uint64_t run_backward(int worker, const Task& task, std::vector<float>& w);
+  std::uint64_t run_forward(const Task& task, std::vector<float>& w);
+  std::uint64_t run_backward(const Task& task, std::vector<float>& w);
   /// Admits Forward(stage, micro) whose input just arrived: enqueues it
   /// if the 1F1B window allows, parks it otherwise.
-  void admit_forward(int stage, int micro);
-  bool admit_forward_locked(int stage, int micro) REQUIRES(sched_m_);
+  void admit_forward_locked(int stage, int micro) REQUIRES(sched_m_);
   void push_forward_locked(int stage, int micro) REQUIRES(sched_m_);
   /// Marks Backward(stage, micro)'s gradient input as available and
   /// enqueues it if its predecessor in the stage's backward chain is done.
   void mark_backward_ready(int stage, int micro);
   void complete_task();
   void record_failure(const char* what);
-  int home_worker(int stage) const { return stage % pool_->size(); }
   /// The 1F1B warmup depth of `stage`: max(1, min(N, P - stage)).
   int admission_window(int stage) const {
     return std::max(1, std::min(cfg_.engine.num_microbatches,
@@ -239,15 +225,8 @@ class StealingEngine {
   StealPolicy policy_;
   std::vector<float> grads_;
 
-  std::vector<StageRange> ranges_;                   ///< per stage
-  std::vector<std::vector<int>> home_stages_;        ///< per worker
-  std::vector<std::unique_ptr<TaskQueue>> queues_;   ///< per stage
-  std::vector<std::vector<nn::Cache>> caches_;       ///< per microbatch
-
-  std::unique_ptr<AtomicStageCounters[]> stage_counters_;  ///< per stage
-  /// Per-worker counters: single-writer slots (each worker writes only its
-  /// own), read between minibatches under the pool barrier — plain fields.
-  std::vector<StageStats> worker_stats_;
+  std::vector<StageRange> ranges_;              ///< per stage
+  std::vector<std::vector<nn::Cache>> caches_;  ///< min(N, P) sets, by micro mod R
 
   // Per-minibatch context, owned by forward_backward for the duration of
   // one generation; workers read it between the pool barriers.
@@ -255,21 +234,17 @@ class StealingEngine {
   const nn::LossHead* mb_head_ = nullptr;
   std::vector<nn::Flow> fwd_flow_;   ///< per micro: activation between stages
   std::vector<nn::Flow> bwd_flow_;   ///< per micro: gradient between stages
-  std::vector<double> micro_loss_;   ///< per micro: loss slots (ordered merge)
-  std::vector<double> micro_correct_;
-  std::vector<double> micro_count_;
+  std::vector<StepResult> micro_;    ///< per micro: loss slots (ordered merge)
   std::atomic<bool> mb_failed_{false};
   std::string mb_error_ GUARDED_BY(sched_m_);  ///< first worker exception
 
-  // Scheduler state: remaining task count, push notification version, and
-  // the backward-chain gates, all GUARDED_BY(sched_m_) — a Clang
-  // -Wthread-safety build proves the gating protocol never touches them
-  // unlocked. Lock order is sched_m_ -> TaskQueue::m_
-  // (enqueue-while-gating); TaskQueue ops never take sched_m_.
+  // Scheduler state: remaining task count and the backward-chain gates,
+  // all GUARDED_BY(sched_m_) — a Clang -Wthread-safety build proves the
+  // gating protocol never touches them unlocked. Lock order is sched_m_ ->
+  // the executor's locks (enqueue-while-gating); the executor never takes
+  // sched_m_ while holding its own.
   mutable util::Mutex sched_m_;
-  util::CondVar sched_cv_;
   int remaining_ GUARDED_BY(sched_m_) = 0;
-  std::uint64_t push_version_ GUARDED_BY(sched_m_) = 0;
   std::vector<int> next_bwd_ GUARDED_BY(sched_m_);      ///< per stage: next micro
   std::vector<std::uint8_t> bwd_ready_ GUARDED_BY(sched_m_);  ///< [stage*N+micro]
   /// 1F1B admission state: forwards admitted this minibatch, forwards
@@ -282,7 +257,7 @@ class StealingEngine {
   std::uint64_t dropped_log_entries_ GUARDED_BY(sched_m_) = 0;
   std::vector<std::vector<float>> scratch_;  ///< per worker: weight buffer
 
-  std::unique_ptr<WorkerPool> pool_;  ///< last member: joins before teardown
+  std::unique_ptr<StageExecutor> exec_;  ///< last member: joins before teardown
 };
 
 }  // namespace pipemare::sched

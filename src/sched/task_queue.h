@@ -19,9 +19,9 @@ struct Task {
   int micro = 0;
 };
 
-/// The per-stage deque of *ready* tasks the work-stealing runtime drains:
-/// every stage owns one, its home worker pops from it, and idle workers
-/// steal from the deque of the stage the StealPolicy names.
+/// The per-stage deque of *ready* tasks the StageExecutor drains: every
+/// stage owns one, its home worker pops from it, and idle workers steal
+/// from the deques along the client's victim order.
 ///
 /// The layout follows the Chase-Lev work-stealing deque — one deque per
 /// owner, owner and thieves operating on opposite preferences — with two

@@ -1,5 +1,6 @@
 #include "src/sched/worker_pool.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -7,6 +8,13 @@
 #include "src/obs/trace.h"
 
 namespace pipemare::sched {
+
+int resolve_workers(int requested, int cap) {
+  if (requested > 0) return requested;
+  auto cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores <= 0) cores = 2;
+  return std::max(1, std::min(cores, cap));
+}
 
 WorkerPool::WorkerPool(int workers, Body body) : body_(std::move(body)) {
   threads_.reserve(static_cast<std::size_t>(workers));

@@ -9,11 +9,17 @@
 
 namespace pipemare::sched {
 
+/// The worker count a backend runs with: `requested` when positive, else
+/// min(hardware cores, cap), at least 1 (2 cores assumed on a host that
+/// does not report its count). `cap` is the work a generation can spread
+/// over: stages for the pipeline clients, microbatches for Hogwild.
+int resolve_workers(int requested, int cap);
+
 /// A persistent pool of W worker threads driven in *generations*: the
 /// owner calls run_generation(), every worker runs the body exactly once
 /// (with its worker index), and run_generation returns when all W bodies
-/// have finished: the release/collect barrier shared by the stealing
-/// engine, the threaded Hogwild engine, the server and the kernel lanes.
+/// have finished: the release/collect barrier shared by the stage executor
+/// (training and serving), the threaded Hogwild engine and the kernel lanes.
 /// It is the only owner of std::thread in src/.
 ///
 /// The barrier also carries the memory-ordering contract the engines rely
@@ -51,7 +57,7 @@ class WorkerPool {
 
   /// Releases all workers for one generation without waiting — the
   /// non-blocking half of run_generation, for long-running bodies whose
-  /// lifetime is controlled elsewhere (serve::PipelineServer's workers run
+  /// lifetime is controlled elsewhere (the server's executor workers run
   /// one generation per serving session and park when the server drains).
   /// At most one generation may be open at a time.
   void begin_generation();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,8 +8,7 @@
 #include "src/nn/model.h"
 #include "src/pipeline/partition.h"
 #include "src/pipeline/stage_stats.h"
-#include "src/sched/task_queue.h"
-#include "src/sched/worker_pool.h"
+#include "src/sched/stage_executor.h"
 #include "src/serve/batch_scheduler.h"
 #include "src/serve/checkpoint.h"
 #include "src/serve/request_queue.h"
@@ -48,20 +46,22 @@ struct ServeCounters {
   std::uint64_t batches = 0;           ///< microbatches dispatched
 };
 
-/// Continuous-batching inference runtime over the work-stealing scheduler:
-/// the serving-side counterpart of sched::StealingEngine.
+/// Continuous-batching inference runtime: the serving client of
+/// sched::StageExecutor, whose training client is sched::StealingEngine.
 ///
 /// Execution model. Serving is the forward-only restriction of the
 /// pipeline task graph: the model is cut into `num_stages` contiguous
 /// stages by the same graph-linearized pipeline::Partition the training
 /// engines use, each in-flight microbatch occupies one *slot* (its
 /// activation Flow plus per-module caches), and running stage s of slot m
-/// is one sched::Task{Forward, s, m} in the per-stage TaskQueue deques. A
-/// sched::WorkerPool of W workers (one long generation per serving
-/// session) drains the queues exactly like the training engine: stage s is
-/// *home* to worker s mod W, idle workers steal the oldest ready task from
-/// other stages (deepest stage first, to drain in-flight batches), and
-/// non-home execution is counted in the stolen_items / stolen_ns stats.
+/// is one sched::Task{Forward, s, m} on the executor's per-stage queues.
+/// The executor's W workers (one long generation per serving session)
+/// drain them exactly as they do for training: stage s is *home* to worker
+/// s mod W, idle workers steal the oldest ready task along a fixed
+/// deepest-stage-first victim order (finishing in-flight batches frees
+/// slots before new work starts), non-home execution is counted in the
+/// stolen_items / stolen_ns stats, and idle time lands in pop_wait_ns
+/// with a `pop_wait` span.
 /// There is no weight-version protocol to preserve — inference reads one
 /// frozen checkpoint — which is precisely why serving needs no staleness
 /// machinery and W can be anything.
@@ -69,7 +69,8 @@ struct ServeCounters {
 /// Admission. Clients call submit() from any thread; requests land in a
 /// bounded RequestQueue (Full => an immediate RejectedQueueFull response —
 /// backpressure is an explicit error, never an unbounded stall). A worker
-/// with no ready task performs *admission* under the server mutex: expire
+/// with no ready task performs *admission* under the server mutex (the
+/// executor's idle hook): expire
 /// timed-out requests, ask the BatchScheduler whether to form a batch now
 /// (continuous: whenever a slot is free; fixed: when max_batch are queued
 /// or the oldest has waited max_wait_ms), pop the FIFO prefix of
@@ -89,11 +90,12 @@ struct ServeCounters {
 /// engines' bitwise-parity invariant.
 ///
 /// Concurrency contracts. All scheduler state (slot occupancy, counters,
-/// stop flag, push-notification version) is GUARDED_BY(m_); slot payloads
-/// (flow, caches, request list) are owner-accessed — exactly one worker
-/// holds a slot's task at a time, and handoff happens-before through the
-/// TaskQueue mutex. Lock order: m_ -> (RequestQueue | TaskQueue | Ticket)
-/// internal mutexes; those never take m_.
+/// stop flag) is GUARDED_BY(m_); slot payloads (flow, caches, request
+/// list) are owner-accessed — exactly one worker holds a slot's task at a
+/// time, and handoff happens-before through the task queue's mutex. Every
+/// change a parked worker must see (submit, freed slot, stop) is followed
+/// by StageExecutor::notify(). Lock order: m_ -> (RequestQueue | executor |
+/// Ticket) internal mutexes; those never take m_.
 class PipelineServer {
  public:
   /// Validates the checkpoint against the model (shape digest + parameter
@@ -124,25 +126,19 @@ class PipelineServer {
 
   ServeCounters counters() const;
 
-  /// Per-*stage* load counters (cumulative since construction or the last
-  /// reset): busy/items of the stage's tasks wherever they executed, plus
-  /// stolen_items / stolen_ns for the share executed by non-home workers.
-  /// Same shape as the training engines' stage_stats(), so the
-  /// StageLoadObserver carries over unchanged. Safe to call while serving
-  /// (relaxed-atomic counters — transient skew, no torn values).
-  std::vector<pipeline::StageStats> stage_stats() const;
-
-  /// Per-*worker* load counters: busy, pop_wait_ns = time idle waiting for
-  /// work or admission, items, stolen share.
-  std::vector<pipeline::StageStats> worker_stats() const;
-
-  void reset_stage_stats();
+  /// The executor's per-*stage* and per-*worker* load counters, the same
+  /// shape the training engines report, so the StageLoadObserver carries
+  /// over unchanged. Safe to call while serving (transient skew, no torn
+  /// values); a worker's pop_wait_ns includes waiting for admission.
+  std::vector<pipeline::StageStats> stage_stats() const { return exec_->stage_stats(); }
+  std::vector<pipeline::StageStats> worker_stats() const { return exec_->worker_stats(); }
+  void reset_stage_stats() { exec_->reset_stats(); }
 
   const pipeline::Partition& partition() const { return partition_; }
   const ServeConfig& config() const { return cfg_; }
   const nn::Model& model() const { return model_; }
   std::span<const float> weights() const { return weights_; }
-  int num_workers() const { return pool_->size(); }
+  int num_workers() const { return exec_->num_workers(); }
   int num_slots() const { return static_cast<int>(slots_.size()); }
 
  private:
@@ -158,29 +154,18 @@ class PipelineServer {
     Clock::time_point formed{};
   };
 
-  /// Multi-writer per-slot counters (thieves of the same stage may run
-  /// concurrently), hence relaxed atomics; see StealingEngine.
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> pop_wait_ns{0};
-    std::atomic<std::uint64_t> items{0};
-    std::atomic<std::uint64_t> stolen_items{0};
-    std::atomic<std::uint64_t> stolen_ns{0};
-  };
-
   TicketPtr submit_with_deadline(nn::Flow input, Clock::time_point deadline);
-  void worker_loop(int worker);
-  bool acquire(int worker, sched::Task& out, bool& stolen);
-  void execute(int worker, const sched::Task& task, bool stolen);
+  /// The executor hooks: run one stage of a slot (returns its busy
+  /// nanoseconds), "stopped and drained", and admission when idle.
+  std::uint64_t execute(const sched::Task& task);
+  bool finished() const;
+  /// Attempts one admission round. Returns zero if a batch was dispatched,
+  /// else how long the caller may park before a timer (batch flush or
+  /// request deadline) needs another round (max: none).
+  Clock::duration try_admit();
   /// Completes every ticket of `slot` with `base` (output/metrics filled
   /// per request for Ok) and frees the slot.
   void complete_slot(int slot, const Response& base, const tensor::Tensor* output);
-  /// Attempts one admission round; returns true if a batch was dispatched.
-  /// On false, `recheck` is how long the caller may sleep before a timer
-  /// (batch flush or request deadline) needs another round.
-  bool try_admit(Clock::duration& recheck);
-  void bump_version();
-  int home_worker(int stage) const { return stage % pool_->size(); }
 
   const nn::Model& model_;
   ServeConfig cfg_;
@@ -190,24 +175,18 @@ class PipelineServer {
   BatchScheduler scheduler_;
 
   RequestQueue queue_;
-  std::vector<std::unique_ptr<sched::TaskQueue>> queues_;  ///< per stage
   std::vector<Slot> slots_;
 
-  std::unique_ptr<AtomicCounters[]> stage_counters_;   ///< per stage
-  std::unique_ptr<AtomicCounters[]> worker_counters_;  ///< per worker
-
   mutable util::Mutex m_;
-  util::CondVar cv_;
   std::vector<std::uint8_t> slot_busy_ GUARDED_BY(m_);
   int active_slots_ GUARDED_BY(m_) = 0;
-  std::uint64_t push_version_ GUARDED_BY(m_) = 0;
   std::uint64_t next_id_ GUARDED_BY(m_) = 0;
   bool started_ GUARDED_BY(m_) = false;
   bool stopping_ GUARDED_BY(m_) = false;
   bool stopped_ GUARDED_BY(m_) = false;
   ServeCounters counters_ GUARDED_BY(m_);
 
-  std::unique_ptr<sched::WorkerPool> pool_;  ///< last member: parks before teardown
+  std::unique_ptr<sched::StageExecutor> exec_;  ///< last member: parks before teardown
 };
 
 }  // namespace pipemare::serve

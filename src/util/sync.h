@@ -11,8 +11,8 @@
 // with `mu` held, and MutexLock's scoped acquire/release is tracked
 // through every control path (including exceptional returns). Under GCC
 // the attributes expand to nothing and the wrappers compile down to the
-// std types they hold — zero size or call overhead (asserted in
-// tests/test_sync.cpp and timed in bench/micro_sync.cpp).
+// std types they hold — zero size overhead (asserted in
+// tests/test_sync.cpp).
 //
 // Why this matters here: the repo's core invariant — bitwise parity across
 // the concurrent backends — rests on a small set of locking protocols

@@ -201,7 +201,9 @@ TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
   // Parity with the pipeline backends' load instrumentation: per-worker
   // busy counters behind the same stage_stats() surface, so
   // core::StageLoadObserver samples every multithreaded backend uniformly.
-  const int n = 6;
+  // N = 3 over W = 2 workers: every step, one worker runs out of
+  // microbatches first and idles in the barrier — its pop_wait_ns.
+  const int n = 3;
   HogwildFixture fx(n);
   auto hw = base_config(2, n);
   hw.num_workers = 2;
@@ -214,7 +216,7 @@ TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
     EXPECT_EQ(s.items, 0u);
   }
 
-  const int steps = 3;
+  const int steps = 5;
   for (int step = 0; step < steps; ++step) {
     (void)engine.forward_backward(fx.inputs, fx.targets, fx.head);
     engine.commit_update();
@@ -222,13 +224,16 @@ TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
   auto after = engine.stage_stats();
   std::uint64_t items = 0;
   std::uint64_t busy = 0;
+  std::uint64_t idle = 0;
   for (const auto& s : after) {
     items += s.items;
     busy += s.busy_ns;
+    idle += s.pop_wait_ns;
     EXPECT_EQ(s.stolen_items, 0u);  // no stealing in this backend
   }
   EXPECT_EQ(items, static_cast<std::uint64_t>(steps * n));
   EXPECT_GT(busy, 0u);
+  EXPECT_GT(idle, 0u);
 
   engine.reset_stage_stats();
   for (const auto& s : engine.stage_stats()) {

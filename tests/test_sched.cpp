@@ -1,6 +1,8 @@
 // The work-stealing runtime suite (tier1): TaskQueue push/pop/steal
 // mechanics (single-owner order + concurrent stealers), StealPolicy
-// ranking/refresh/parsing, WorkerPool generations, and the StealingEngine
+// ranking/refresh/parsing, WorkerPool generations, the StageExecutor under
+// a fake client (every task runs once, stage and worker ledgers agree),
+// and the StealingEngine
 // guarantees — steals-disabled and forced-steal bitwise parity vs the
 // sequential engine, a (P, N, W) stress sweep asserting no task is lost or
 // run twice, per-stage idle that sums to the worker idle, run-to-run
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "src/nn/model.h"
 #include "src/pipeline/engine.h"
 #include "src/sched/steal_policy.h"
+#include "src/sched/stage_executor.h"
 #include "src/sched/stealing_engine.h"
 #include "src/sched/task_queue.h"
 #include "src/sched/worker_pool.h"
@@ -163,6 +167,92 @@ TEST(WorkerPool, RunsBodyOncePerWorkerPerGeneration) {
     EXPECT_EQ(calls.load(), gen * kWorkers);
     for (int w = 0; w < kWorkers; ++w) {
       EXPECT_EQ(per_worker[static_cast<std::size_t>(w)].load(), gen);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// StageExecutor
+// ---------------------------------------------------------------------------
+
+TEST(StageExecutor, FakeClientRunsEveryPushedTaskExactlyOnce) {
+  // A forward-only chain graph, admitted from the idle hook the way the
+  // server admits batches: idle() pushes (0, m), executing (s, m) pushes
+  // (s + 1, m), and the generation is finished once all P * M tasks ran.
+  // Two generations per executor check that the queues, counters and the
+  // park loop carry over between them.
+  constexpr int kMicro = 6;
+  constexpr int kGenerations = 2;
+  for (int p : {1, 3, 4}) {
+    for (int w : {1, 2, 4}) {
+      for (bool steal : {false, true}) {
+        const std::string label = "P=" + std::to_string(p) + " W=" + std::to_string(w) +
+                                  " steal=" + std::to_string(steal);
+        std::vector<std::atomic<int>> runs(static_cast<std::size_t>(p * kMicro));
+        std::atomic<int> next_micro{0};
+        std::atomic<int> remaining{0};
+        StageExecutor* exec = nullptr;
+        StageExecutor executor(
+            p, w,
+            StageExecutor::Client{
+                [&](int, const Task& task, bool) -> std::uint64_t {
+                  runs[static_cast<std::size_t>(task.stage * kMicro + task.micro)]
+                      .fetch_add(1);
+                  if (task.stage + 1 < p) {
+                    exec->push({Task::Kind::Forward, task.stage + 1, task.micro});
+                  }
+                  if (remaining.fetch_sub(1) == 1) exec->notify();
+                  return 1;
+                },
+                [&] { return remaining.load() == 0; },
+                [&] {
+                  const int m = next_micro.fetch_add(1);
+                  if (m >= kMicro) return StageExecutor::Clock::duration::max();
+                  exec->push({Task::Kind::Forward, 0, m});
+                  return StageExecutor::Clock::duration::zero();
+                }});
+        exec = &executor;
+        std::vector<int> victims(static_cast<std::size_t>(p));
+        for (int s = 0; s < p; ++s) victims[static_cast<std::size_t>(s)] = p - 1 - s;
+        executor.set_victims(steal ? victims : std::vector<int>{}, /*steal_first=*/steal);
+        for (int gen = 1; gen <= kGenerations; ++gen) {
+          next_micro.store(0);
+          remaining.store(p * kMicro);
+          executor.run();
+          for (int i = 0; i < p * kMicro; ++i) {
+            ASSERT_EQ(runs[static_cast<std::size_t>(i)].load(), gen) << label << " task " << i;
+          }
+        }
+
+        std::uint64_t stage_items = 0, stage_stolen = 0, stage_idle = 0;
+        for (const auto& st : executor.stage_stats()) {
+          stage_items += st.items;
+          stage_stolen += st.stolen_items;
+          stage_idle += st.pop_wait_ns;
+          EXPECT_EQ(st.busy_ns, st.items) << label;  // 1 ns charged per task
+        }
+        std::uint64_t worker_items = 0, worker_stolen = 0, worker_idle = 0;
+        for (const auto& ws : executor.worker_stats()) {
+          worker_items += ws.items;
+          worker_stolen += ws.stolen_items;
+          worker_idle += ws.pop_wait_ns;
+        }
+        EXPECT_EQ(stage_items, static_cast<std::uint64_t>(kGenerations * p * kMicro)) << label;
+        EXPECT_EQ(worker_items, stage_items) << label;
+        EXPECT_EQ(worker_stolen, stage_stolen) << label;
+        if (!steal || w == 1) {
+          EXPECT_EQ(stage_stolen, 0u) << label;
+        }
+        if (w <= p) {
+          EXPECT_EQ(stage_idle, worker_idle) << label;
+        }
+
+        executor.reset_stats();
+        for (const auto& st : executor.stage_stats()) {
+          EXPECT_EQ(st.items, 0u) << label;
+          EXPECT_EQ(st.pop_wait_ns, 0u) << label;
+        }
+      }
     }
   }
 }

@@ -797,9 +797,12 @@ TEST(PipelineServer, StageStatsFeedTheLoadObserver) {
   auto stages = server.stage_stats();
   ASSERT_EQ(stages.size(), 3u);
   std::uint64_t items = 0;
+  std::uint64_t stage_idle = 0;
+  std::uint64_t stage_steals = 0;
   for (const auto& s : stages) {
     items += s.items;
-    EXPECT_EQ(s.pop_wait_ns, 0u);  // waiting is a worker-side notion
+    stage_idle += s.pop_wait_ns;
+    stage_steals += s.stolen_items;
   }
   // Every dispatched batch crosses every stage exactly once.
   EXPECT_EQ(items, server.counters().batches * 3);
@@ -810,8 +813,19 @@ TEST(PipelineServer, StageStatsFeedTheLoadObserver) {
   auto workers = server.worker_stats();
   ASSERT_EQ(workers.size(), 2u);
   std::uint64_t worker_items = 0;
-  for (const auto& ws : workers) worker_items += ws.items;
+  std::uint64_t worker_idle = 0;
+  std::uint64_t worker_steals = 0;
+  for (const auto& ws : workers) {
+    worker_items += ws.items;
+    worker_idle += ws.pop_wait_ns;
+    worker_steals += ws.stolen_items;
+  }
   EXPECT_EQ(worker_items, items);
+  // Waiting is worker-side: stage w's pop_wait_ns is worker w's idle, so
+  // for W <= P the per-stage sum is the total worker idle.
+  EXPECT_EQ(stage_idle, worker_idle);
+  // Each steal lands once in the stage ledger and once in the worker one.
+  EXPECT_EQ(stage_steals, worker_steals);
 
   server.reset_stage_stats();
   for (const auto& s : server.stage_stats()) {

@@ -3,8 +3,7 @@
 // exclusion, cross-thread try_lock, condition-variable wakeups (including
 // the adopt/release ownership handoff inside CondVar::wait), MutexLock RAII
 // on both normal and exceptional exit — and cost nothing: same size as the
-// wrapped std types (asserted at compile time here, timed against the raw
-// std types in bench/micro_sync.cpp).
+// wrapped std types (asserted at compile time here).
 #include <gtest/gtest.h>
 
 #include <condition_variable>
