@@ -200,7 +200,6 @@ BackendRegistry::BackendRegistry() {
         cfg.engine = engine;
         cfg.workers = opts.workers;
         cfg.mode = opts.mode;
-        cfg.record_log = opts.record_log;
         return std::make_unique<ThreadedStealBackend>("threaded_steal",
                                                       std::move(model),
                                                       std::move(cfg), seed);

@@ -39,11 +39,6 @@ void MetricsObserver::on_epoch(EpochRecord& record) {
       gauge("pipeline.mailbox.stage" + std::to_string(s) + ".inflight_high_water")
           .set(static_cast<double>(inflight[s]));
     }
-    // Cumulative engine-side truth (the "sched.steal_log_dropped" counter
-    // only sees drops since process start across all engines; this gauge
-    // is this engine's exact current value).
-    gauge("sched.dropped_log_entries")
-        .set(static_cast<double>(steal->engine().dropped_log_entries()));
     gauge("sched.total_steals")
         .set(static_cast<double>(steal->engine().total_steals()));
   }

@@ -5,12 +5,12 @@
 // (train.epoch / train.loss / train.metric / train.param_norm), the
 // backend-specific instrumentation that only exists behind a concrete
 // engine surface (StealingEngine's per-stage 1F1B in-flight high-water
-// marks and cumulative dropped steal-log entries), and — when a
-// --metrics=<file> path is set — a JSON snapshot of the whole registry
-// rewritten after each epoch, so a run killed mid-training still leaves
-// its latest metrics on disk. core::train installs one automatically when
-// TrainerConfig::metrics_path is non-empty; direct train_loop users append
-// one to their observer list themselves.
+// marks and total steals), and — when a --metrics=<file> path is set —
+// a JSON snapshot of the whole registry rewritten after each epoch, so a
+// run killed mid-training still leaves its latest metrics on disk.
+// core::train installs one automatically when TrainerConfig::metrics_path
+// is non-empty; direct train_loop users append one to their observer list
+// themselves.
 
 #include <string>
 

@@ -41,8 +41,7 @@ void RepartitionObserver::on_method_switch(pipeline::Method /*from*/,
                                            pipeline::Method /*to*/, int /*epoch*/) {
   // A method switch changes the delay profile mid-run; measurements that
   // straddle it would mix regimes, so restart the epoch baseline.
-  last_busy_ = {};
-  for (const auto& s : backend_->stage_stats()) last_busy_.push_back(s.busy_ns);
+  last_ = backend_->stage_stats();
 }
 
 void RepartitionObserver::on_epoch(EpochRecord& record) {
@@ -50,23 +49,18 @@ void RepartitionObserver::on_epoch(EpochRecord& record) {
   if (record.is_divergence_record()) return;
 
   // This epoch's per-stage busy delta against the cumulative baseline
-  // (with the same regressed-counter fallback StageLoadObserver uses).
+  // (by the same reset rule StageLoadObserver uses).
   auto cumulative = backend_->stage_stats();
-  std::vector<std::uint64_t> busy(cumulative.size(), 0);
-  for (std::size_t s = 0; s < cumulative.size(); ++s) {
-    std::uint64_t now = cumulative[s].busy_ns;
-    std::uint64_t before = s < last_busy_.size() ? last_busy_[s] : 0;
-    busy[s] = now >= before ? now - before : now;
+  std::vector<std::uint64_t> busy;
+  for (const auto& s : pipeline::stats_since(cumulative, last_)) {
+    busy.push_back(s.busy_ns);
   }
 
   // Cool-down after a migration: the new split must be measured for
   // min_epochs_between full epochs before another move is considered.
   if (last_migration_epoch_ > 0 &&
       epoch_ - last_migration_epoch_ < cfg_.min_epochs_between) {
-    last_busy_.assign(cumulative.size(), 0);
-    for (std::size_t s = 0; s < cumulative.size(); ++s) {
-      last_busy_[s] = cumulative[s].busy_ns;
-    }
+    last_ = std::move(cumulative);
     return;
   }
 
@@ -81,10 +75,7 @@ void RepartitionObserver::on_epoch(EpochRecord& record) {
   events_.push_back(ev);
 
   if (!planned.has_value()) {
-    last_busy_.assign(cumulative.size(), 0);
-    for (std::size_t s = 0; s < cumulative.size(); ++s) {
-      last_busy_[s] = cumulative[s].busy_ns;
-    }
+    last_ = std::move(cumulative);
     return;
   }
 
@@ -98,7 +89,7 @@ void RepartitionObserver::on_epoch(EpochRecord& record) {
   pipeline::Partition from = *backend_->partition();
   backend_->repartition(*planned);
   backend_->reset_stage_stats();
-  last_busy_ = {};
+  last_.clear();
   last_migration_epoch_ = epoch_;
   for (StepObserver* p : peers_) {
     p->on_repartition(from, *backend_->partition(), epoch_);

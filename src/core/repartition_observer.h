@@ -52,9 +52,9 @@ class RepartitionObserver final : public StepObserver {
   pipeline::Repartitioner planner_;
   pipeline::RepartitionConfig cfg_;
   std::vector<StepObserver*> peers_;
-  std::vector<std::uint64_t> last_busy_;  ///< cumulative baseline per stage
-  int epoch_ = 0;                         ///< 1-based count of observed epochs
-  int last_migration_epoch_ = 0;          ///< 0 = never migrated
+  std::vector<pipeline::StageStats> last_;  ///< cumulative baseline per stage
+  int epoch_ = 0;                           ///< 1-based count of observed epochs
+  int last_migration_epoch_ = 0;            ///< 0 = never migrated
   std::vector<Event> events_;
 };
 

@@ -42,40 +42,18 @@ class StageLoadObserver final : public StepObserver {
   void on_epoch(EpochRecord& /*record*/) override {
     auto cumulative = sample();
     if (cumulative.empty()) return;
-    auto delta = cumulative;
-    if (last_.size() != cumulative.size()) {
-      // Slot count changed mid-run (a backend swap or reconfiguration the
-      // baseline cannot describe): treat the cumulative values as this
-      // epoch's delta rather than indexing a mismatched baseline.
-      last_.clear();
-    }
-    if (!last_.empty()) {
-      // Counters are cumulative and monotone unless someone called
-      // reset_stage_stats() mid-epoch; a regressed counter means the
-      // baseline is stale, and the cumulative value IS the epoch's delta.
-      auto since = [](std::uint64_t now, std::uint64_t before) {
-        return now >= before ? now - before : now;
-      };
-      for (std::size_t s = 0; s < delta.size(); ++s) {
-        delta[s].busy_ns = since(cumulative[s].busy_ns, last_[s].busy_ns);
-        delta[s].pop_wait_ns = since(cumulative[s].pop_wait_ns, last_[s].pop_wait_ns);
-        delta[s].push_wait_ns =
-            since(cumulative[s].push_wait_ns, last_[s].push_wait_ns);
-        delta[s].items = since(cumulative[s].items, last_[s].items);
-        delta[s].stolen_items = since(cumulative[s].stolen_items, last_[s].stolen_items);
-        delta[s].stolen_ns = since(cumulative[s].stolen_ns, last_[s].stolen_ns);
-      }
-    }
+    // A mid-epoch reset_stage_stats() the observer was not told about
+    // shows up as regressed counters; stats_since then takes the
+    // cumulative values as the epoch's delta.
+    epoch_stats_.push_back(pipeline::stats_since(cumulative, last_));
     last_ = std::move(cumulative);
-    epoch_stats_.push_back(std::move(delta));
   }
 
   /// The per-slot baselines assume counters accumulate within one
   /// execution regime; both events below reset the backend's view of the
   /// world (a repartition also resets the counters themselves), so drop
   /// the baseline — otherwise the first post-event delta would compare
-  /// new counters against a stale epoch and go "negative" (wrap through
-  /// the since() fallback) per stage.
+  /// new counters against a stale epoch.
   void on_method_switch(pipeline::Method /*from*/, pipeline::Method /*to*/,
                         int /*epoch*/) override {
     last_ = sample();

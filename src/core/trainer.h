@@ -367,9 +367,8 @@ TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cf
 ///   --kernel-lanes=<int> intra-op GEMM lanes nested per worker (1 = off)
 ///   --max-delay=<float>  hogwild family: delay truncation bound
 ///   --workers=<int>      threaded_hogwild / threaded_steal: worker threads
-///   --steal=off|load|det|forced
+///   --steal=off|load|forced
 ///                        threaded_steal: steal mode (see sched::StealMode)
-///   --steal-log=0|1      threaded_steal: keep the per-step steal log
 ///   --repartition=off|auto[,<threshold>]
 ///                        epoch-boundary dynamic repartitioning (threaded /
 ///                        threaded_steal; see pipeline::RepartitionConfig)

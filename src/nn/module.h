@@ -56,8 +56,8 @@ struct CostShapes {
 };
 
 /// Dataflow effects of a module on the Flow's auxiliary channels — the
-/// graph-lowering hook (src/graph/) reads these to add the non-chain edges
-/// a sequential module list implies:
+/// non-chain dependencies a sequential module list implies, which
+/// pipeline::make_partition checks for consistent wiring:
 ///  - `produces_skip` / `consumes_skip`: the module opens / closes a
 ///    residual shortcut (`ResidualOpen` fills Flow::skip, `ResidualClose`
 ///    adds it back into the main path);
@@ -110,11 +110,11 @@ class Module {
   }
 
   /// Which auxiliary Flow channels the module reads and writes (see
-  /// FlowEffects). graph::Graph::lower turns these into skip/ctx edges; a
-  /// module that uses a channel without declaring it still *executes*
-  /// correctly (executors run the chain order) but its graph dependencies
-  /// would be understated, so user modules should override this alongside
-  /// forward/backward.
+  /// FlowEffects). make_partition rejects a model whose declarations do
+  /// not pair up (e.g. a shortcut never closed); a module that uses a
+  /// channel without declaring it still *executes* correctly (executors
+  /// run the chain order) but escapes that check, so user modules should
+  /// override this alongside forward/backward.
   virtual FlowEffects flow_effects() const { return {}; }
 
   /// True when `forward` mutates module-owned state, making concurrent

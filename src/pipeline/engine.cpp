@@ -227,17 +227,4 @@ PipelineEngine::StepResult PipelineEngine::forward_backward(
   return result;
 }
 
-nn::LossResult evaluate_forward(const nn::Model& model, std::span<const float> params,
-                                const nn::Flow& input, const tensor::Tensor& target,
-                                const nn::LossHead& head) {
-  auto caches = model.make_caches();
-  nn::Flow out = model.forward(input, params, caches);
-  return head.forward_backward(out.x, target);
-}
-
-nn::LossResult PipelineEngine::evaluate(const nn::Flow& input, const tensor::Tensor& target,
-                                        const nn::LossHead& head) const {
-  return evaluate_forward(model_, store_.live(), input, target, head);
-}
-
 }  // namespace pipemare::pipeline

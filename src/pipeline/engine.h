@@ -54,11 +54,6 @@ std::vector<optim::LrSegment> stage_lr_segments(const Partition& partition,
 /// T3 warmup) must not zero them out.
 std::vector<double> stage_tau_fwd_vector(const Schedule& schedule);
 
-/// Forward-only evaluation of `params` — the engines' shared evaluate().
-nn::LossResult evaluate_forward(const nn::Model& model, std::span<const float> params,
-                                const nn::Flow& input, const tensor::Tensor& target,
-                                const nn::LossHead& head);
-
 /// Executes pipeline-parallel training *statistically exactly* (registered
 /// with the core::BackendRegistry as "sequential"): every
 /// microbatch's forward/backward uses the precise weight version that the
@@ -99,10 +94,6 @@ class PipelineEngine {
   /// Publishes the mutated live weights as the next version and updates
   /// the T2 delta EMA. Call exactly once after each optimizer step.
   void commit_update() { store_.commit_update(); }
-
-  /// Evaluation helper: forward-only on the live weights.
-  nn::LossResult evaluate(const nn::Flow& input, const tensor::Tensor& target,
-                          const nn::LossHead& head) const;
 
   /// Technique 3 switches from Sync warmup to PipeMare mid-training.
   void set_method(Method m) { cfg_.method = m; }

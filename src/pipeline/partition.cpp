@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/graph/graph.h"
 #include "src/pipeline/cost_model.h"
 
 namespace pipemare::pipeline {
@@ -64,21 +63,40 @@ void finish_partition(const nn::Model& model, Partition& part) {
   }
 }
 
-/// The partitioner's unit enumeration: lower the model to the op graph
-/// and take the weight units in its linearized execution order. The
-/// executors (forward_range in module-index order) additionally require
-/// the linearization to be the identity — true for every model appended
-/// in topological order, and enforced here so a hypothetical non-identity
-/// lowering fails loudly instead of silently misassigning staleness.
-std::vector<nn::WeightUnit> partition_units(const nn::Model& model, bool split_bias) {
-  graph::Graph g = graph::Graph::lower(model);
-  if (!g.linearization_is_identity()) {
-    throw std::invalid_argument(
-        "make_partition: the model's graph linearization is not the module "
-        "order; the executors run modules in index order, so modules must be "
-        "added topologically");
+/// Rejects a model whose auxiliary Flow channels (FlowEffects) are wired
+/// inconsistently: a skip closed with none open or opened while one is
+/// open, a shortcut never closed, or ctx read before any producer. The
+/// modules catch all but the never-closed shortcut only mid-step at run
+/// time; here every case fails at setup.
+void check_flow_effects(const nn::Model& model) {
+  auto fail = [&](int m, const char* what) {
+    throw std::invalid_argument("make_partition: module " + std::to_string(m) + " (" +
+                                model.module(m).name() + ") " + what);
+  };
+  int open_skip = -1;  ///< module that opened the current shortcut, -1 = none
+  bool ctx_produced = false;
+  for (int m = 0; m < model.num_modules(); ++m) {
+    const nn::FlowEffects fx = model.module(m).flow_effects();
+    if (fx.consumes_skip) {
+      if (open_skip < 0) fail(m, "consumes a skip but no shortcut is open");
+      open_skip = -1;
+    }
+    if (fx.produces_skip) {
+      if (open_skip >= 0) fail(m, "opens a shortcut while one is already open");
+      open_skip = m;
+    }
+    if (fx.consumes_ctx && !ctx_produced) fail(m, "consumes ctx before any producer");
+    ctx_produced = ctx_produced || fx.produces_ctx;
   }
-  return graph::linearized_weight_units(g, model, split_bias);
+  if (open_skip >= 0) fail(open_skip, "opens a shortcut that is never closed");
+}
+
+/// The partitioner's unit enumeration: the model's weight units in module
+/// order, which is the topological order the paper walks (modules are
+/// appended topologically, and the executors run them in index order).
+std::vector<nn::WeightUnit> partition_units(const nn::Model& model, bool split_bias) {
+  check_flow_effects(model);
+  return model.weight_units(split_bias);
 }
 
 Partition start_partition(const nn::Model& model, int num_stages, bool split_bias) {

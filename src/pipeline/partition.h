@@ -11,13 +11,11 @@ namespace pipemare::pipeline {
 
 /// Assignment of a model's weight units to pipeline stages.
 ///
-/// Units come from the graph IR (src/graph/): the model is lowered to an
-/// op graph and the units are enumerated in its deterministic topological
-/// linearization — today's chain models linearize to the identity order,
-/// so this reproduces the raw `model.weight_units` order exactly (tests
-/// assert it), while non-chain lowerings get contiguous-cut legality for
-/// free (every contiguous cut of a topological order is a legal stage
-/// boundary).
+/// Units are the model's weight units in module order — the topological
+/// order the executors run and the paper walks. Building a partition
+/// also rejects a model whose FlowEffects are wired inconsistently (a skip
+/// closed without an open, opened twice or never closed, or ctx read
+/// before any producer) with std::invalid_argument.
 ///
 /// Built by one of two strategies (PartitionStrategy):
 ///  - Uniform — the paper's rule (Section 4.1): traverse the model weights
@@ -105,7 +103,7 @@ struct StageModuleRange {
 
 /// Per-stage module/unit ranges of a partition. Relies on module_stage and
 /// the units' module ids being non-decreasing (guaranteed by
-/// make_partition's identity linearization).
+/// make_partition's module-order units).
 std::vector<StageModuleRange> stage_module_ranges(const Partition& partition);
 
 /// Backend-validation helper: checks the (engine, model) partitioning

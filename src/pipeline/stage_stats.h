@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace pipemare::pipeline {
 
@@ -29,5 +31,30 @@ struct StageStats {
   std::uint64_t stolen_items = 0;  ///< executed elsewhere / stolen
   std::uint64_t stolen_ns = 0;     ///< busy time of the stolen items
 };
+
+/// Per-slot counter deltas between two samples of one backend's cumulative
+/// stage_stats(). Counters only grow between resets, so the rule is decided
+/// per *sample*, not per field: if the slot counts differ (an empty
+/// baseline included) or any counter of any slot fell below its baseline,
+/// a reset_stage_stats() happened in between and `now` itself is the delta.
+/// (Per field, a post-reset slot whose count happens to equal its stale
+/// baseline would read a delta of 0.)
+inline std::vector<StageStats> stats_since(std::span<const StageStats> now,
+                                           std::span<const StageStats> before) {
+  constexpr std::uint64_t StageStats::*kCounters[] = {
+      &StageStats::busy_ns,  &StageStats::pop_wait_ns,  &StageStats::push_wait_ns,
+      &StageStats::items,    &StageStats::stolen_items, &StageStats::stolen_ns};
+  std::vector<StageStats> delta(now.begin(), now.end());
+  if (before.size() != now.size()) return delta;
+  for (std::size_t s = 0; s < now.size(); ++s) {
+    for (auto c : kCounters) {
+      if (now[s].*c < before[s].*c) return delta;
+    }
+  }
+  for (std::size_t s = 0; s < now.size(); ++s) {
+    for (auto c : kCounters) delta[s].*c -= before[s].*c;
+  }
+  return delta;
+}
 
 }  // namespace pipemare::pipeline

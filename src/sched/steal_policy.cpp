@@ -10,7 +10,6 @@ std::string steal_mode_name(StealMode mode) {
   switch (mode) {
     case StealMode::Disabled: return "off";
     case StealMode::LoadAware: return "load";
-    case StealMode::Deterministic: return "det";
     case StealMode::Forced: return "forced";
   }
   return "?";
@@ -23,12 +22,11 @@ StealMode parse_steal_mode(std::string_view text) {
   if (text == "load" || text == "load-aware" || text == "load_aware") {
     return StealMode::LoadAware;
   }
-  if (text == "det" || text == "deterministic") return StealMode::Deterministic;
   if (text == "forced") return StealMode::Forced;
   throw std::invalid_argument(
       "parse_steal_mode: '" + std::string(text) +
-      "' is not a steal mode; use off|load|det|forced (long forms: disabled, "
-      "load-aware, deterministic)");
+      "' is not a steal mode; use off|load|forced (long forms: disabled, "
+      "load-aware)");
 }
 
 StealPolicy::StealPolicy(StealMode mode, std::vector<double> predicted_cost)
@@ -47,7 +45,7 @@ void StealPolicy::rank(std::span<const double> share) {
 }
 
 void StealPolicy::refresh(std::span<const std::uint64_t> busy_ns) {
-  if (mode_ != StealMode::LoadAware) return;
+  if (!steal_enabled()) return;
   if (busy_ns.size() != predicted_.size()) return;
   std::uint64_t total = 0;
   for (std::uint64_t b : busy_ns) total += b;

@@ -18,32 +18,23 @@ enum class StealMode {
   /// partition cost model's predicted stage costs and re-ranked between
   /// minibatches from the observed per-stage busy counters. The default.
   LoadAware,
-  /// Fixed victim order (predicted costs only, never re-ranked at runtime)
-  /// plus a per-step steal log, so steal *decisions* are a pure function
-  /// of observable pre-run state. Training curves are bitwise run-to-run
-  /// reproducible in every mode — the engine's numerics are scheduling-
-  /// independent by construction — this mode additionally makes the steal
-  /// policy itself auditable.
-  Deterministic,
   /// Stress mode for tests: workers try to steal *before* draining their
-  /// own stages (fixed victim order, logged like Deterministic), which
-  /// maximizes cross-stage execution and is what the bitwise-parity-under-
-  /// stealing tests run.
+  /// own stages (same victim ranking as LoadAware), which maximizes
+  /// cross-stage execution and is what the bitwise-parity-under-stealing
+  /// tests run.
   Forced,
 };
 
 std::string steal_mode_name(StealMode mode);
 
-/// Parses "off"/"disabled", "load"/"load-aware", "det"/"deterministic",
-/// "forced"; throws std::invalid_argument naming the accepted spellings.
+/// Parses "off"/"disabled", "load"/"load-aware", "forced"; throws
+/// std::invalid_argument naming the accepted spellings.
 StealMode parse_steal_mode(std::string_view text);
 
 /// Victim selection for idle workers: ranks stages by busy share, busiest
 /// first. Seeded from the partition cost model's predicted per-stage costs
 /// (so the very first minibatch already steals from the predicted leader);
-/// in LoadAware mode `refresh` re-ranks from observed busy nanoseconds
-/// between minibatches, in the deterministic modes the seeded order is
-/// fixed for the lifetime of the run.
+/// `refresh` re-ranks from observed busy nanoseconds between minibatches.
 ///
 /// Not internally synchronized: the owning engine calls refresh() between
 /// minibatches only, and the worker-release barrier orders the write
@@ -56,18 +47,14 @@ class StealPolicy {
   bool steal_enabled() const { return mode_ != StealMode::Disabled; }
   /// Forced mode: thieves try victims before their own deques.
   bool steal_first() const { return mode_ == StealMode::Forced; }
-  /// Deterministic and Forced: fixed victim order, steal log on.
-  bool deterministic() const {
-    return mode_ == StealMode::Deterministic || mode_ == StealMode::Forced;
-  }
 
   /// Stage indices, preferred victim first. Stable for a given ranking
   /// input: ties break toward the lower stage index.
   const std::vector<int>& victim_order() const { return order_; }
 
-  /// Re-ranks victims by observed cumulative busy time (LoadAware only; a
-  /// no-op in the other modes). All-zero observations keep the predicted
-  /// seed — the first minibatch has nothing measured yet.
+  /// Re-ranks victims by observed cumulative busy time (a no-op when
+  /// stealing is disabled). All-zero observations keep the current
+  /// ranking — the first minibatch has nothing measured yet.
   void refresh(std::span<const std::uint64_t> busy_ns);
 
  private:

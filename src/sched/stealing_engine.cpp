@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/cost_model.h"
 #include "src/pipeline/repartition.h"
@@ -17,10 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using util::ns_between;
-
-/// Steal-log soft cap: the log is an opt-in debugging artifact; a long run
-/// with logging left on must not grow without bound.
-constexpr std::size_t kMaxStealLog = std::size_t{1} << 20;
 
 /// Predicted per-stage busy shares for the StealPolicy seed. A balanced
 /// partition already carries cost-model stage costs; a uniform partition's
@@ -179,24 +174,9 @@ bool StealingEngine::finished() const {
   return remaining_ == 0;
 }
 
-void StealingEngine::record_steal(int worker, const Task& task) {
-  obs::instant("steal", "sched", task.stage, task.micro, store_.step());
-  if (!policy_.deterministic() && !cfg_.record_log) return;
-  util::MutexLock lock(sched_m_);
-  if (steal_log_.size() < kMaxStealLog) {
-    steal_log_.push_back({store_.step(), worker, task.stage, task.micro, task.kind});
-  } else {
-    ++dropped_log_entries_;
-    // Mirrored in the registry: the in-object counter needs a lock and an
-    // engine pointer to read, the metric shows up in every snapshot.
-    static obs::Counter& dropped =
-        obs::MetricsRegistry::instance().counter("sched.steal_log_dropped");
-    dropped.add();
-  }
-}
-
 std::uint64_t StealingEngine::execute(int worker, const Task& task, bool stolen) {
-  if (stolen) record_steal(worker, task);
+  // The trace names the thief through the emitting thread.
+  if (stolen) obs::instant("steal", "sched", task.stage, task.micro, store_.step());
   // Each worker sizes (and first touches) its own weight buffer on its
   // first task, off the constructing thread.
   std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
@@ -326,8 +306,8 @@ StealingEngine::StepResult StealingEngine::forward_backward(
   mb_head_ = &head;
   mb_failed_.store(false);
 
-  // LoadAware victim re-ranking from the cumulative busy counters (no-op
-  // in the other modes; the first minibatch keeps the cost-model seed).
+  // Victim re-ranking from the cumulative busy counters (no-op when
+  // stealing is disabled; the first minibatch keeps the cost-model seed).
   {
     std::vector<std::uint64_t> busy;
     busy.reserve(static_cast<std::size_t>(p));
@@ -379,30 +359,6 @@ std::uint64_t StealingEngine::total_steals() const {
   std::uint64_t total = 0;
   for (const auto& st : stage_stats()) total += st.stolen_items;
   return total;
-}
-
-const std::vector<StealRecord>& StealingEngine::steal_log() const {
-  // Between minibatches the workers are parked, so the reference stays
-  // stable after the lock drops (see the header contract).
-  util::MutexLock lock(sched_m_);
-  return steal_log_;
-}
-
-std::uint64_t StealingEngine::dropped_log_entries() const {
-  util::MutexLock lock(sched_m_);
-  return dropped_log_entries_;
-}
-
-void StealingEngine::clear_steal_log() {
-  util::MutexLock lock(sched_m_);
-  steal_log_.clear();
-  dropped_log_entries_ = 0;
-}
-
-nn::LossResult StealingEngine::evaluate(const nn::Flow& input,
-                                        const tensor::Tensor& target,
-                                        const nn::LossHead& head) const {
-  return pipeline::evaluate_forward(model_, store_.live(), input, target, head);
 }
 
 }  // namespace pipemare::sched

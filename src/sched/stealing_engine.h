@@ -28,20 +28,8 @@ namespace pipemare::sched {
 /// "threaded" preset fixes workers = num_stages, mode = Disabled).
 struct StealConfig {
   pipeline::EngineConfig engine;
-  int workers = 0;          ///< worker threads; 0 = min(cores, num_stages)
+  int workers = 0;  ///< worker threads; 0 = min(cores, num_stages)
   StealMode mode = StealMode::LoadAware;
-  bool record_log = false;  ///< keep the per-step steal log (the
-                            ///< deterministic modes log regardless)
-};
-
-/// One recorded steal: worker `worker` executed a task of stage `stage`
-/// (whose home worker it is not) during optimizer step `step`.
-struct StealRecord {
-  std::int64_t step = 0;
-  int worker = 0;
-  int stage = 0;
-  int micro = 0;
-  Task::Kind kind = Task::Kind::Forward;
 };
 
 /// Work-stealing pipeline-parallel execution, registered with the
@@ -55,8 +43,8 @@ struct StealRecord {
 /// predicted stage costs, re-ranked between minibatches from the observed
 /// per-stage busy counters). Stage s is *home* to worker s mod W; any other
 /// worker executing its tasks is a thief, counted in the stolen_items /
-/// stolen_ns stats and (in the deterministic modes or with record_log)
-/// appended to the steal log. This engine is the executor's training
+/// stolen_ns stats and marked by a `steal` trace instant on the thief's
+/// thread. This engine is the executor's training
 /// client: it owns the readiness rules below, the executor owns the
 /// queues, the workers and the load counters.
 ///
@@ -127,10 +115,6 @@ class StealingEngine {
   std::span<float> gradients() { return grads_; }
   void commit_update() { store_.commit_update(); }
 
-  /// Evaluation helper: forward-only on the live weights (single-threaded).
-  nn::LossResult evaluate(const nn::Flow& input, const tensor::Tensor& target,
-                          const nn::LossHead& head) const;
-
   void set_method(pipeline::Method m) { cfg_.engine.method = m; }
   pipeline::Method method() const { return cfg_.engine.method; }
 
@@ -180,14 +164,6 @@ class StealingEngine {
   /// stage's compute is its compute wherever it runs).
   std::vector<StageStats> worker_stats() const { return exec_->worker_stats(); }
 
-  /// The steal log (populated in the deterministic modes or when
-  /// cfg.record_log is set; capped — see dropped_log_entries()). Call
-  /// between minibatches; the returned reference stays valid until the
-  /// next forward_backward or clear_steal_log.
-  const std::vector<StealRecord>& steal_log() const;
-  std::uint64_t dropped_log_entries() const;
-  void clear_steal_log();
-
   /// Total tasks stolen since construction (or the last stats reset).
   std::uint64_t total_steals() const;
 
@@ -198,7 +174,6 @@ class StealingEngine {
   /// "every task of the minibatch completed".
   std::uint64_t execute(int worker, const Task& task, bool stolen);
   bool finished() const;
-  void record_steal(int worker, const Task& task);
   /// Run one task's compute; returns the busy nanoseconds spent.
   std::uint64_t run_forward(const Task& task, std::vector<float>& w);
   std::uint64_t run_backward(const Task& task, std::vector<float>& w);
@@ -253,8 +228,6 @@ class StealingEngine {
   std::vector<std::uint8_t> fwd_parked_ GUARDED_BY(sched_m_);  ///< [stage*N+micro]
   std::vector<std::size_t> inflight_high_water_ GUARDED_BY(sched_m_);  ///< per stage
 
-  std::vector<StealRecord> steal_log_ GUARDED_BY(sched_m_);
-  std::uint64_t dropped_log_entries_ GUARDED_BY(sched_m_) = 0;
   std::vector<std::vector<float>> scratch_;  ///< per worker: weight buffer
 
   std::unique_ptr<StageExecutor> exec_;  ///< last member: joins before teardown

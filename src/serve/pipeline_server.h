@@ -51,11 +51,11 @@ struct ServeCounters {
 ///
 /// Execution model. Serving is the forward-only restriction of the
 /// pipeline task graph: the model is cut into `num_stages` contiguous
-/// stages by the same graph-linearized pipeline::Partition the training
-/// engines use, each in-flight microbatch occupies one *slot* (its
-/// activation Flow plus per-module caches), and running stage s of slot m
-/// is one sched::Task{Forward, s, m} on the executor's per-stage queues.
-/// The executor's W workers (one long generation per serving session)
+/// stages by the same pipeline::Partition the training engines use, each
+/// in-flight microbatch occupies one *slot* (its activation Flow plus
+/// per-module caches), and running stage s of slot m is one
+/// sched::Task{Forward, s, m} on the executor's per-stage queues. The
+/// executor's W workers (one long generation per serving session)
 /// drain them exactly as they do for training: stage s is *home* to worker
 /// s mod W, idle workers steal the oldest ready task along a fixed
 /// deepest-stage-first victim order (finishing in-flight batches frees

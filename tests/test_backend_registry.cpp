@@ -275,14 +275,20 @@ TEST(ParseBackendCli, AppliesFlagsAndCarriesDelayAcrossFamily) {
   }
   {
     const char* argv[] = {"prog", "--backend=threaded_steal", "--workers=3",
-                          "--steal=forced", "--steal-log=1"};
-    util::Cli cli(5, const_cast<char**>(argv));
+                          "--steal=forced"};
+    util::Cli cli(4, const_cast<char**>(argv));
     TrainerConfig cfg;
     parse_backend_cli(cli, cfg);
     const auto& opts = std::get<StealOptions>(cfg.backend.options);
     EXPECT_EQ(opts.workers, 3);
     EXPECT_EQ(opts.mode, sched::StealMode::Forced);
-    EXPECT_TRUE(opts.record_log);
+  }
+  {
+    // The steal modes are off|load|forced; anything else is rejected.
+    const char* argv[] = {"prog", "--backend=threaded_steal", "--steal=det"};
+    util::Cli cli(3, const_cast<char**>(argv));
+    TrainerConfig cfg;
+    EXPECT_THROW(parse_backend_cli(cli, cfg), std::invalid_argument);
   }
   {
     // Worker counts carry between the worker-pool backends on a --backend

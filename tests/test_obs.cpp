@@ -7,7 +7,8 @@
 // backends, <= Schedule::max_staleness for the versioned engines), the
 // acceptance-criteria invariant that curves are bitwise-equal with tracing
 // on vs off, and the StageStats delta/reset contract StageLoadObserver
-// relies on — uniformly across all five registered backends.
+// relies on — uniformly across all five registered backends, and on a
+// scripted backend for a reset the observer was not told about.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -395,10 +396,7 @@ core::TrainerConfig tiny_steal_config() {
   cfg.schedule = core::TrainerConfig::Sched::Constant;
   cfg.lr = 0.05;
   cfg.seed = 5;
-  core::StealOptions opts;
-  opts.workers = 3;
-  opts.mode = sched::StealMode::Deterministic;
-  cfg.backend = {"threaded_steal", opts};
+  cfg.backend = {"threaded_steal", core::StealOptions{.workers = 3}};
   return cfg;
 }
 
@@ -632,6 +630,72 @@ TEST(StageStatsContract, DeltaAndResetSemanticsAcrossAllBackends) {
     for (std::size_t s = 0; s < delta.size(); ++s) {
       EXPECT_EQ(delta[s].items, cumulative[s].items) << name << " slot " << s;
     }
+  }
+}
+
+/// An ExecutionBackend whose stage_stats() replays a script, one sample per
+/// call; nothing else of it is exercised.
+class ScriptedStatsBackend final : public core::ExecutionBackend {
+ public:
+  explicit ScriptedStatsBackend(std::vector<std::vector<pipeline::StageStats>> script)
+      : script_(std::move(script)) {}
+
+  std::vector<pipeline::StageStats> stage_stats() const override {
+    return script_.at(std::min(next_++, script_.size() - 1));
+  }
+
+  pipeline::StepResult forward_backward(const std::vector<nn::Flow>&,
+                                        const std::vector<tensor::Tensor>&,
+                                        const nn::LossHead&) override {
+    return {};
+  }
+  std::span<float> weights() override { return params_; }
+  std::span<const float> weights() const override { return params_; }
+  std::span<float> gradients() override { return params_; }
+  void commit_update() override {}
+  std::vector<optim::LrSegment> lr_segments(double, std::span<const double>) const override {
+    return {};
+  }
+  std::vector<double> stage_tau_fwd() const override { return {}; }
+  void set_method(pipeline::Method) override {}
+  pipeline::Method method() const override { return pipeline::Method::PipeMare; }
+  const nn::Model& model() const override { return model_; }
+  std::string_view name() const override { return "scripted"; }
+
+ private:
+  std::vector<std::vector<pipeline::StageStats>> script_;
+  mutable std::size_t next_ = 0;
+  std::vector<float> params_;
+  nn::Model model_;
+};
+
+TEST(StageLoadObserver, UnnotifiedResetIsDetectedPerSampleNotPerField) {
+  // Epoch 1 ends at the baseline; then the backend's counters are reset
+  // without telling the observer, and epoch 2 happens to end with slot 0's
+  // items equal to its stale baseline while its busy time regressed. The
+  // regressed counter proves a reset, so the whole sample is epoch 2's
+  // delta: per field, slot 0 would read 0 items and slot 1 only the growth
+  // over its stale baseline.
+  const std::vector<pipeline::StageStats> baseline = {
+      {.busy_ns = 100, .pop_wait_ns = 10, .items = 4},
+      {.busy_ns = 200, .pop_wait_ns = 20, .items = 4}};
+  const std::vector<pipeline::StageStats> after_reset = {
+      {.busy_ns = 50, .pop_wait_ns = 30, .items = 4},
+      {.busy_ns = 300, .pop_wait_ns = 40, .items = 6}};
+  // The first sample answers active().
+  ScriptedStatsBackend backend({baseline, baseline, after_reset});
+  core::StageLoadObserver load(backend);
+  ASSERT_TRUE(load.active());
+  core::EpochRecord rec;
+  load.on_epoch(rec);
+  load.on_epoch(rec);
+  ASSERT_EQ(load.epoch_stats().size(), 2u);
+  const auto& delta = load.epoch_stats()[1];
+  ASSERT_EQ(delta.size(), 2u);
+  for (std::size_t s = 0; s < delta.size(); ++s) {
+    EXPECT_EQ(delta[s].items, after_reset[s].items) << "slot " << s;
+    EXPECT_EQ(delta[s].busy_ns, after_reset[s].busy_ns) << "slot " << s;
+    EXPECT_EQ(delta[s].pop_wait_ns, after_reset[s].pop_wait_ns) << "slot " << s;
   }
 }
 

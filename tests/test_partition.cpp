@@ -1,6 +1,7 @@
 // Partitioner subsystem tests: the cost model, the balanced (min-max
 // contiguous) strategy against brute force, the uniform default's
-// bitwise stability, and the validated stage-count errors.
+// bitwise stability, the validated stage-count errors, and the rejection
+// of models whose auxiliary Flow channels are wired inconsistently.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +16,11 @@
 #include "src/core/trainer.h"
 #include "src/data/regression_data.h"
 #include "src/nn/activations.h"
+#include "src/nn/attention.h"
 #include "src/nn/dropout.h"
 #include "src/nn/linear.h"
 #include "src/nn/model.h"
+#include "src/nn/residual.h"
 #include "src/pipeline/cost_model.h"
 #include "src/pipeline/partition.h"
 #include "src/util/rng.h"
@@ -363,6 +366,41 @@ TEST(CostModel, MismatchedCostVectorThrows) {
   std::vector<double> wrong_size = {1.0, 2.0};
   EXPECT_THROW(make_partition(m, 2, false, std::span<const double>(wrong_size)),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed FlowEffects wiring is rejected at partition time
+// ---------------------------------------------------------------------------
+
+TEST(PartitionValidation, CloseWithoutOpenThrows) {
+  nn::Model m;
+  m.add(std::make_unique<nn::Linear>(4, 4, true));
+  m.add(std::make_unique<nn::ResidualClose>());
+  EXPECT_THROW(make_partition(m, 1, false), std::invalid_argument);
+}
+
+TEST(PartitionValidation, DoubleOpenThrows) {
+  nn::Model m;
+  m.add(std::make_unique<nn::ResidualOpen>());
+  m.add(std::make_unique<nn::Linear>(4, 4, true));
+  m.add(std::make_unique<nn::ResidualOpen>());
+  m.add(std::make_unique<nn::ResidualClose>());
+  EXPECT_THROW(make_partition(m, 1, false), std::invalid_argument);
+}
+
+TEST(PartitionValidation, NeverClosedThrows) {
+  // No runtime check catches this one: the open shortcut is simply dropped.
+  nn::Model m;
+  m.add(std::make_unique<nn::ResidualOpen>());
+  m.add(std::make_unique<nn::Linear>(4, 4, true));
+  EXPECT_THROW(make_partition(m, 1, false), std::invalid_argument);
+}
+
+TEST(PartitionValidation, CtxConsumedBeforeProducerThrows) {
+  nn::Model m;
+  m.add(std::make_unique<nn::MultiHeadAttention>(
+      8, 2, nn::MultiHeadAttention::Kind::CrossAttention));
+  EXPECT_THROW(make_partition(m, 1, false), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
