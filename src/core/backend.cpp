@@ -111,8 +111,8 @@ std::unique_ptr<ExecutionBackend> BackendRegistry::create(
   auto built = entries_.find(backend.name)->second.create(std::move(model), backend,
                                                           engine, seed);
   // engine.method is the single source of truth for the training method;
-  // backends whose own config lacks a method field (the Hogwild family)
-  // pick it up here.
+  // every built-in backend's config already carries it, custom registered
+  // backends pick it up here.
   built->set_method(engine.method);
   return built;
 }
@@ -167,17 +167,14 @@ BackendRegistry::BackendRegistry() {
         auto opts = options_as<HogwildOptions>(b);
         reject_recompute("hogwild", engine);
         check_partition("hogwild", engine, model);
-        hogwild::validate_config(hogwild::from_engine_config(
-            engine, opts.max_delay, /*num_workers=*/0, std::move(opts.mean_delay)));
+        hogwild::validate_config({.engine = engine, .max_delay = opts.max_delay});
       },
       [](nn::Model model, const BackendConfig& b, const pipeline::EngineConfig& engine,
          std::uint64_t seed) -> std::unique_ptr<ExecutionBackend> {
         auto opts = options_as<HogwildOptions>(b);
         return std::make_unique<HogwildBackend>(
             "hogwild", std::move(model),
-            hogwild::from_engine_config(engine, opts.max_delay, /*num_workers=*/0,
-                                        std::move(opts.mean_delay)),
-            seed);
+            hogwild::HogwildConfig{.engine = engine, .max_delay = opts.max_delay}, seed);
       });
 
   register_backend(
@@ -212,16 +209,16 @@ BackendRegistry::BackendRegistry() {
         auto opts = options_as<ThreadedHogwildOptions>(b);
         reject_recompute("threaded_hogwild", engine);
         check_partition("threaded_hogwild", engine, model);
-        hogwild::validate_config(hogwild::from_engine_config(
-            engine, opts.max_delay, opts.workers, std::move(opts.mean_delay)));
+        hogwild::validate_config(
+            {.engine = engine, .max_delay = opts.max_delay, .num_workers = opts.workers});
       },
       [](nn::Model model, const BackendConfig& b, const pipeline::EngineConfig& engine,
          std::uint64_t seed) -> std::unique_ptr<ExecutionBackend> {
         auto opts = options_as<ThreadedHogwildOptions>(b);
         return std::make_unique<ThreadedHogwildBackend>(
             "threaded_hogwild", std::move(model),
-            hogwild::from_engine_config(engine, opts.max_delay, opts.workers,
-                                        std::move(opts.mean_delay)),
+            hogwild::HogwildConfig{
+                .engine = engine, .max_delay = opts.max_delay, .num_workers = opts.workers},
             seed);
       });
 }

@@ -121,21 +121,21 @@ struct ThreadedOptions {
 };
 
 /// "hogwild" — the sequential stochastic-delay HogwildEngine (Appendix E).
+/// Per-stage delay expectations follow the pipeline profile (2(P-i)+1)/N of
+/// the shared pipeline::EngineConfig; engine.discrepancy_correction is
+/// ignored (the delayed version serves forward and backward alike).
 struct HogwildOptions {
   static constexpr std::string_view kName = "HogwildOptions";
-  double max_delay = 16.0;         ///< delay truncation bound (>= 0)
-  std::vector<double> mean_delay;  ///< per-stage expectation; empty =>
-                                   ///< pipeline profile (2(P-i)+1)/N
+  double max_delay = 16.0;  ///< delay truncation bound (>= 0)
 };
 
 /// "threaded_hogwild" — W free-running workers over the same stochastic
-/// delay model (hogwild::ThreadedHogwildEngine).
+/// delay model (hogwild::ThreadedHogwildEngine); same delay profile and
+/// Technique 2 handling as "hogwild".
 struct ThreadedHogwildOptions {
   static constexpr std::string_view kName = "ThreadedHogwildOptions";
-  double max_delay = 16.0;         ///< delay truncation bound (>= 0)
-  int workers = 0;                 ///< worker threads; 0 = min(cores, N)
-  std::vector<double> mean_delay;  ///< per-stage expectation; empty =>
-                                   ///< pipeline profile (2(P-i)+1)/N
+  double max_delay = 16.0;  ///< delay truncation bound (>= 0)
+  int workers = 0;          ///< worker threads; 0 = min(cores, N)
 };
 
 /// "threaded_steal" — the work-stealing worker-pool runtime

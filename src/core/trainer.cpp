@@ -145,7 +145,6 @@ void parse_backend_cli(const util::Cli& cli, TrainerConfig& cfg) {
     } else if (const auto* prev_thr =
                    std::get_if<ThreadedHogwildOptions>(&cfg.backend.options)) {
       opts.max_delay = prev_thr->max_delay;
-      opts.mean_delay = prev_thr->mean_delay;
     }
     opts.max_delay = cli.get_double("max-delay", opts.max_delay);
     cfg.backend.options = std::move(opts);
@@ -155,7 +154,6 @@ void parse_backend_cli(const util::Cli& cli, TrainerConfig& cfg) {
       opts = *prev;
     } else if (const auto* prev_seq = std::get_if<HogwildOptions>(&cfg.backend.options)) {
       opts.max_delay = prev_seq->max_delay;
-      opts.mean_delay = prev_seq->mean_delay;
     } else if (const auto* prev_steal = std::get_if<StealOptions>(&cfg.backend.options)) {
       // Worker counts carry between the worker-pool backends.
       opts.workers = prev_steal->workers;

@@ -375,7 +375,7 @@ TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cf
 ///   --trace=<file>       Chrome trace-event JSON of the run (any backend)
 ///   --metrics=<file>     per-epoch metrics registry snapshot (any backend)
 /// Absent flags keep the configuration already in `cfg.backend`; switching
-/// between the two hogwild backends carries max_delay / mean_delay over
+/// between the two hogwild backends carries max_delay over
 /// (and worker counts carry between the worker-pool backends), while a
 /// flag the selected built-in backend cannot honor (e.g. --workers with
 /// "hogwild") throws instead of being silently dropped.

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/obs/trace.h"
-#include "src/pipeline/weight_versions.h"
 #include "src/util/stats.h"
 
 namespace pipemare::hogwild {
@@ -24,14 +23,8 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
                                              std::uint64_t seed)
     : model_(model),
       cfg_(std::move(cfg)),
-      partition_((validate_config(cfg_),
-                  pipeline::make_partition(model, cfg_.num_stages, cfg_.split_bias,
-                                           cfg_.partition))),
-      mean_delay_(resolve_mean_delay(cfg_)),
-      delay_rng_(seed ^ 0x9e3779b97f4a7c15ULL) {
-  // The probe microbatch is consumed by make_partition above; don't keep
-  // its tensors alive for the whole engine lifetime.
-  cfg_.partition.probe.reset();
+      versions_(model, cfg_, seed),
+      grads_(versions_.store().live().size(), 0.0F) {
   for (int m = 0; m < model_.num_modules(); ++m) {
     if (model_.module(m).stateful_forward()) {
       throw std::invalid_argument(
@@ -42,17 +35,7 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
     }
   }
 
-  live_.assign(static_cast<std::size_t>(model.param_count()), 0.0F);
-  util::Rng init_rng(seed);
-  model_.init_params(live_, init_rng);
-  grads_.assign(live_.size(), 0.0F);
-  history_depth_ = static_cast<int>(std::ceil(cfg_.max_delay)) + 2;
-  history_.assign(static_cast<std::size_t>(history_depth_), {});
-  history_[0] = live_;
-  unit_version_.assign(static_cast<std::size_t>(partition_.num_units()), 0);
-  staleness_ = pipeline::staleness_histograms(cfg_.num_stages);
-
-  const int w = sched::resolve_workers(cfg_.num_workers, cfg_.num_microbatches);
+  const int w = sched::resolve_workers(cfg_.num_workers, cfg_.engine.num_microbatches);
   stats_.assign(static_cast<std::size_t>(w), pipeline::StageStats{});
   scratch_.resize(static_cast<std::size_t>(w));  // sized by each worker (drain)
   caches_.resize(static_cast<std::size_t>(w));
@@ -72,32 +55,6 @@ void ThreadedHogwildEngine::record_failure(const char* what) {
   }
 }
 
-void ThreadedHogwildEngine::assemble_delayed_weights(std::vector<float>& w) const {
-  if (method_ == pipeline::Method::Sync) {
-    std::copy(live_.begin(), live_.end(), w.begin());
-    return;
-  }
-  for (int u = 0; u < partition_.num_units(); ++u) {
-    const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
-    std::int64_t v = unit_version_[static_cast<std::size_t>(u)];
-    const auto slot = static_cast<std::size_t>(v % history_depth_);
-    // Seqlock read: retry until the copy happened entirely inside one
-    // stable (even) epoch. Commits are barrier-ordered before worker
-    // reads today, so this never spins and the barrier (not the epoch)
-    // provides the happens-before; a true free-running mode must also
-    // make the slot bytes themselves race-free (see the class comment).
-    for (;;) {
-      std::uint64_t e1 = epoch_.load(std::memory_order_acquire);
-      if (e1 & 1U) continue;  // writer active
-      const auto& src = history_[slot];
-      std::copy(src.begin() + unit.offset, src.begin() + unit.offset + unit.size,
-                w.begin() + unit.offset);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (epoch_.load(std::memory_order_relaxed) == e1) break;
-    }
-  }
-}
-
 void ThreadedHogwildEngine::process_micro(int micro, int worker, bool& w_ready) {
   std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
   std::vector<nn::Cache>& caches = caches_[static_cast<std::size_t>(worker)];
@@ -106,21 +63,32 @@ void ThreadedHogwildEngine::process_micro(int micro, int worker, bool& w_ready) 
     if (!w_ready) {
       // One delayed-weight view per worker per step: every worker builds
       // the identical bytes (the trainer thread sampled the versions), so
-      // microbatch->worker assignment cannot change any result.
-      assemble_delayed_weights(w);
+      // microbatch->worker assignment cannot change any result. Seqlock
+      // read: retry until the view was assembled entirely inside one
+      // stable (even) epoch. Commits are barrier-ordered before worker
+      // reads today, so this never spins and the barrier (not the epoch)
+      // provides the happens-before; a true free-running mode must also
+      // make the slot bytes themselves race-free (see the class comment).
+      for (;;) {
+        std::uint64_t e1 = epoch_.load(std::memory_order_acquire);
+        if (e1 & 1U) continue;  // writer active
+        versions_.assemble(w);
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (epoch_.load(std::memory_order_relaxed) == e1) break;
+      }
       w_ready = true;
     }
     auto idx = static_cast<std::size_t>(micro);
     nn::Flow input = (*mb_inputs_)[idx];
     input.training = true;
     input.micro = micro;
-    input.step = step_;
+    input.step = versions_.store().step();
     nn::Flow out = model_.forward(std::move(input), w, caches);
     auto lr = mb_head_->forward_backward(out.x, (*mb_targets_)[idx]);
     micro_[idx] = {lr.loss, lr.correct, lr.count};
     if (!std::isfinite(lr.loss)) return;  // gradients unspecified past here
     std::vector<float>& g = micro_grads_[idx];
-    g.assign(live_.size(), 0.0F);
+    g.assign(grads_.size(), 0.0F);
     nn::Flow dflow;
     dflow.x = std::move(lr.doutput);
     (void)model_.backward(std::move(dflow), w, caches, g);
@@ -132,7 +100,7 @@ void ThreadedHogwildEngine::process_micro(int micro, int worker, bool& w_ready) 
 void ThreadedHogwildEngine::drain(int worker) {
   // Each worker sizes (and first touches) its own weight-view buffer on
   // its first minibatch, off the constructing thread.
-  scratch_[static_cast<std::size_t>(worker)].resize(live_.size());
+  scratch_[static_cast<std::size_t>(worker)].resize(grads_.size());
   pipeline::StageStats& stats = stats_[static_cast<std::size_t>(worker)];
   const auto n = static_cast<int>(mb_inputs_->size());
   bool w_ready = false;
@@ -140,7 +108,7 @@ void ThreadedHogwildEngine::drain(int worker) {
        m = next_micro_.fetch_add(1, std::memory_order_relaxed)) {
     auto t0 = Clock::now();
     {
-      obs::Span span("micro", "hogwild", -1, m, step_);
+      obs::Span span("micro", "hogwild", -1, m, versions_.store().step());
       process_micro(m, worker, w_ready);
     }
     stats.busy_ns += ns_between(t0, Clock::now());
@@ -161,22 +129,8 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
   if (micro_grads_.size() < un) micro_grads_.resize(un);
 
   // Sample this step's per-unit weight versions on the trainer thread —
-  // the same draws, in the same order, as HogwildEngine (eq. 17: a
-  // stage's forward and backward share one delayed version).
-  if (method_ != pipeline::Method::Sync) {
-    for (int u = 0; u < partition_.num_units(); ++u) {
-      int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
-      double mean = mean_delay_[static_cast<std::size_t>(stage)];
-      auto delay = static_cast<std::int64_t>(
-          std::llround(delay_rng_.truncated_exponential(mean, cfg_.max_delay)));
-      std::int64_t v = std::max<std::int64_t>(0, step_ - delay);
-      unit_version_[static_cast<std::size_t>(u)] = v;
-      // Observed tau, clamped while step_ < delay — same recording point
-      // as HogwildEngine so the two backends' histograms are comparable.
-      staleness_[static_cast<std::size_t>(stage)]->observe(
-          static_cast<double>(step_ - v));
-    }
-  }
+  // the same draws, in the same order, as HogwildEngine.
+  versions_.sample();
 
   mb_inputs_ = &micro_inputs;
   mb_targets_ = &micro_targets;
@@ -212,16 +166,10 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
 }
 
 void ThreadedHogwildEngine::commit_update() {
-  ++step_;
   // Seqlock write: odd epoch while the ring slot is inconsistent.
   epoch_.fetch_add(1, std::memory_order_acq_rel);
-  history_[static_cast<std::size_t>(step_ % history_depth_)] = live_;
+  versions_.store().commit_update();
   epoch_.fetch_add(1, std::memory_order_release);
-}
-
-std::vector<optim::LrSegment> ThreadedHogwildEngine::lr_segments(
-    double base_lr, std::span<const double> scales) const {
-  return pipeline::stage_lr_segments(partition_, base_lr, scales);
 }
 
 }  // namespace pipemare::hogwild

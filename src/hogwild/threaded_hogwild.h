@@ -15,26 +15,25 @@
 #include "src/pipeline/partition.h"
 #include "src/pipeline/stage_stats.h"
 #include "src/sched/worker_pool.h"
-#include "src/util/rng.h"
 #include "src/util/sync.h"
 
 namespace pipemare::hogwild {
 
 /// Multithreaded Hogwild! backend (Appendix E): W free-running worker
 /// threads execute the minibatch's microbatches concurrently, each reading
-/// lock-free against the shared `live_` vector / per-stage delayed weight
+/// lock-free against the shared live weights / per-stage delayed weight
 /// snapshots and writing its results into per-microbatch slots.
 ///
 /// The workers are a sched::WorkerPool released once per minibatch; each
 /// claims microbatches from a shared atomic counter until the minibatch is
-/// exhausted. Delayed snapshots are served from the same
-/// bounded version-history ring HogwildEngine keeps, behind a seqlock-style
-/// epoch: `commit_update` brackets its history write with epoch increments
-/// (odd = writer active) and snapshot readers retry until they observe a
-/// stable even epoch. Within the current trainer the generation barrier
-/// orders commits strictly before worker reads — that barrier, not the
-/// epoch, is what makes the reads race-free (and what ThreadSanitizer
-/// verifies). The epoch is a protocol sketch for future free-running
+/// exhausted. Delayed snapshots are served from the pipeline::WeightVersions
+/// ring every training engine keeps (through the DelayedVersions sampler
+/// HogwildEngine shares), behind a seqlock-style epoch: `commit_update`
+/// brackets the store's commit with epoch increments (odd = writer active)
+/// and each worker's view assembly retries until it observes a stable even
+/// epoch. Within the current trainer the generation barrier orders commits
+/// strictly before worker reads — that barrier, not the epoch, is what
+/// makes the reads race-free (and what ThreadSanitizer verifies). The epoch is a protocol sketch for future free-running
 /// (commit-while-reading) modes; enabling those additionally requires
 /// race-free slot storage (atomic data words or swapped version buffers),
 /// since a retried plain-copy of bytes a writer is mutating is still a
@@ -42,11 +41,11 @@ namespace pipemare::hogwild {
 /// sharing one trainer-built buffer, which the barrier would permit)
 /// precisely to keep that read path in place.
 ///
-/// Determinism: the per-step stage delays are sampled once on the trainer
-/// thread from the same RNG stream HogwildEngine uses, every worker
-/// assembles the identical delayed weight view from them, and losses /
-/// gradients are written to per-microbatch slots merged in microbatch
-/// order — so the engine is *bitwise reproducible run-to-run* regardless
+/// Determinism: the per-step unit versions are sampled once on the trainer
+/// thread by the same DelayedVersions code and RNG stream HogwildEngine
+/// uses, every worker assembles the identical delayed weight view from
+/// them, and losses / gradients are written to per-microbatch slots merged
+/// in microbatch order — so the engine is *bitwise reproducible run-to-run* regardless
 /// of thread timing, and matches the sequential HogwildEngine exactly up
 /// to floating-point reassociation across microbatch boundaries in the
 /// gradient sum (modules that accumulate a gradient index more than once
@@ -79,8 +78,8 @@ class ThreadedHogwildEngine {
                               const std::vector<tensor::Tensor>& micro_targets,
                               const nn::LossHead& head);
 
-  std::span<float> weights() { return live_; }
-  std::span<const float> weights() const { return live_; }
+  std::span<float> weights() { return versions_.store().live(); }
+  std::span<const float> weights() const { return versions_.store().live(); }
   std::span<float> gradients() { return grads_; }
 
   /// Publishes the mutated live weights as the next delayed version
@@ -88,15 +87,17 @@ class ThreadedHogwildEngine {
   void commit_update();
 
   /// Sync disables the random delays (used for T3 warmup comparisons).
-  void set_method(pipeline::Method m) { method_ = m; }
-  pipeline::Method method() const { return method_; }
+  void set_method(pipeline::Method m) { cfg_.engine.method = m; }
+  pipeline::Method method() const { return cfg_.engine.method; }
 
   const nn::Model& model() const { return model_; }
-  const pipeline::Partition& partition() const { return partition_; }
+  const pipeline::Partition& partition() const { return versions_.partition(); }
   int num_workers() const { return pool_->size(); }
 
   /// Per-stage delay expectations (what T1 divides by).
-  std::vector<double> stage_tau_fwd() const { return mean_delay_; }
+  std::vector<double> stage_tau_fwd() const {
+    return pipeline::stage_tau_fwd_vector(versions_.schedule());
+  }
 
   /// Per-*worker* load counters (this backend has no stage workers; its
   /// unit of execution parallelism is the free-running worker thread):
@@ -112,47 +113,27 @@ class ThreadedHogwildEngine {
   void reset_stage_stats() { stats_.assign(stats_.size(), pipeline::StageStats{}); }
 
   std::vector<optim::LrSegment> lr_segments(double base_lr,
-                                            std::span<const double> scales) const;
+                                            std::span<const double> scales) const {
+    return pipeline::stage_lr_segments(versions_.partition(), base_lr, scales);
+  }
 
  private:
   void drain(int worker);
   void process_micro(int micro, int worker, bool& w_ready);
-  void assemble_delayed_weights(std::vector<float>& w) const;
   void record_failure(const char* what);
 
   const nn::Model& model_;
   HogwildConfig cfg_;
-  pipeline::Partition partition_;
-  pipeline::Method method_ = pipeline::Method::PipeMare;
-  std::vector<double> mean_delay_;
 
-  // Version-ring-published state (NOT mutex-guarded): step_, history_ and
-  // live_ follow the same publication protocol as pipeline::WeightVersions
-  // — the trainer thread writes them between minibatches (commit_update)
-  // and workers read them inside a minibatch, with the generation barrier
-  // providing the happens-before today and the epoch_ seqlock sketched in
-  // for the future free-running mode. This unannotated block is exactly
-  // the boundary that work moves: relaxing the barrier means making these
-  // bytes race-free (atomic words or double-buffered slabs), not adding a
-  // lock.
-  std::int64_t step_ = 0;
-  int history_depth_ = 1;
-  std::vector<std::vector<float>> history_;
-  std::vector<float> live_;
+  // Version-ring-published state (NOT mutex-guarded): the store follows
+  // the pipeline::WeightVersions publication protocol, plus the epoch_
+  // seqlock sketched in for the future free-running mode.
+  DelayedVersions versions_;
   std::vector<float> grads_;
-  util::Rng delay_rng_;
 
-  /// Seqlock epoch around history_ writes: odd while commit_update is
+  /// Seqlock epoch around store commits: odd while commit_update is
   /// mutating the ring, even when stable.
   std::atomic<std::uint64_t> epoch_{0};
-
-  /// Per-unit source version for the current step, sampled by the trainer
-  /// thread in forward_backward (same draws as HogwildEngine).
-  std::vector<std::int64_t> unit_version_;
-
-  /// "train.staleness.stage<k>": observed sampled delay per stage, the
-  /// shared cross-backend metric family (pipeline::staleness_histograms).
-  std::vector<obs::Histogram*> staleness_;
 
   // Per-minibatch context, barrier-published: written by the trainer
   // thread before WorkerPool::run_generation and read lock-free by the

@@ -1,5 +1,6 @@
 #include "src/nn/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -24,12 +25,34 @@ bool read_pod(std::istream& in, T& value) {
   return static_cast<bool>(in);
 }
 
+/// Reads `count` floats without ever allocating more than the stream
+/// holds, so a hostile header count fails as truncation instead of as
+/// std::length_error / std::bad_alloc: a seekable stream is checked up
+/// front, any other (a pipe) is read in bounded chunks.
 std::vector<float> read_payload(std::istream& in, std::uint64_t count,
                                 const std::string& what) {
-  std::vector<float> weights(count);
-  in.read(reinterpret_cast<char*>(weights.data()),
-          static_cast<std::streamsize>(count * sizeof(float)));
-  if (!in) throw std::runtime_error("read_weights: truncated payload in " + what);
+  const auto truncated = [&] {
+    return std::runtime_error("read_weights: truncated payload in " + what);
+  };
+  std::vector<float> weights;
+  if (const std::streampos here = in.tellg(); here != std::streampos(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    if (!in || end < here ||
+        count > static_cast<std::uint64_t>(end - here) / sizeof(float)) {
+      throw truncated();
+    }
+    weights.reserve(count);
+  }
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;  // floats
+  while (weights.size() < count) {
+    const std::size_t done = weights.size();
+    weights.resize(done + std::min<std::uint64_t>(kChunk, count - done));
+    in.read(reinterpret_cast<char*>(weights.data() + done),
+            static_cast<std::streamsize>((weights.size() - done) * sizeof(float)));
+    if (!in) throw truncated();
+  }
   return weights;
 }
 

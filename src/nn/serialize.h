@@ -32,7 +32,8 @@ void save_weights(const std::string& path, std::span<const float> weights);
 
 /// Reads a v0 or v1 checkpoint; throws std::runtime_error on I/O failure
 /// or a malformed file (bad magic, unsupported version, truncation,
-/// checksum mismatch).
+/// checksum mismatch). Never allocates more than the file holds, whatever
+/// element count its header claims.
 std::vector<float> load_weights(const std::string& path);
 
 /// Stream-level halves of save_weights / load_weights, for containers

@@ -81,9 +81,6 @@ struct EngineConfig {
   /// weight deltas with decay gamma_i = D^{1/(tau_fwd,i - tau_bkwd,i)}.
   bool discrepancy_correction = false;
   double decay_d = 0.5;
-  /// Ablation: extrapolate per microbatch with that microbatch's exact
-  /// staleness instead of the per-stage mean delay.
-  bool t2_per_microbatch = false;
 
   /// PipeMare Recompute (Appendix A.2/D): > 0 splits the module list into
   /// this many segments; only segment-start activations are kept from the

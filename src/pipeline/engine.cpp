@@ -71,7 +71,7 @@ PipelineEngine::PipelineEngine(const nn::Model& model, EngineConfig cfg, std::ui
       cfg_(std::move(cfg)),
       partition_(make_partition(model, cfg_.num_stages, cfg_.split_bias, cfg_.partition)),
       schedule_(cfg_.num_stages, cfg_.num_microbatches),
-      store_(model, cfg_, partition_, schedule_, seed) {
+      store_(model, cfg_, partition_, schedule_, schedule_.max_staleness(), seed) {
   // The probe microbatch is consumed by make_partition above; don't keep
   // its tensors alive for the whole engine lifetime.
   cfg_.partition.probe.reset();
@@ -141,10 +141,8 @@ void PipelineEngine::assemble_recompute_params(int micro, int segment_end_stage,
     if (cfg_.discrepancy_correction && stage <= segment_end_stage) {
       // T2 for recompute (Appendix D): u_recomp = w_{t-tau_r} -
       // (tau_fwd - tau_recomp) * delta.
-      double gap = cfg_.t2_per_microbatch
-                       ? static_cast<double>(schedule_.fwd_staleness(stage, micro) - stale)
-                       : schedule_.mean_tau_fwd(stage) -
-                             schedule_.mean_tau_recompute(stage, segment_end_stage);
+      double gap = schedule_.mean_tau_fwd(stage) -
+                   schedule_.mean_tau_recompute(stage, segment_end_stage);
       if (gap > 0.0) {
         auto g = static_cast<float>(gap);
         for (std::int64_t i = unit.offset; i < unit.offset + unit.size; ++i) {
@@ -164,7 +162,7 @@ PipelineEngine::StepResult PipelineEngine::forward_backward(
     throw std::invalid_argument("forward_backward: expected N microbatches");
   }
   std::fill(grads_.begin(), grads_.end(), 0.0F);
-  StepResult result;
+  std::vector<StepResult> results(static_cast<std::size_t>(n));
   std::vector<float> w_fwd, w_bkwd, w_rec;
   auto caches = model_.make_caches();
   for (int micro = 0; micro < n; ++micro) {
@@ -188,18 +186,8 @@ PipelineEngine::StepResult PipelineEngine::forward_backward(
     }
 
     nn::LossResult lr = head.forward_backward(out.x, micro_targets[static_cast<std::size_t>(micro)]);
-    if (!std::isfinite(lr.loss)) {
-      // Unified non-finite contract (see StepResult): first non-finite
-      // loss, zeroed metrics, gradients unspecified.
-      result.finite = false;
-      result.loss = lr.loss;
-      result.correct = 0.0;
-      result.count = 0.0;
-      return result;
-    }
-    result.loss += lr.loss / n;
-    result.correct += lr.correct;
-    result.count += lr.count;
+    results[static_cast<std::size_t>(micro)] = {lr.loss, lr.correct, lr.count};
+    if (!std::isfinite(lr.loss)) break;  // the merge reports it; gradients unspecified
 
     assemble_backward_params(micro, w_fwd, w_bkwd);
     if (!segments_.empty()) {
@@ -219,12 +207,7 @@ PipelineEngine::StepResult PipelineEngine::forward_backward(
   // Microbatch gradients are each a mean over their M samples; dividing
   // the accumulated sum by N yields the minibatch-mean gradient, matching
   // the convention the hyperparameters are tuned for.
-  auto inv_n = 1.0F / static_cast<float>(n);
-  for (float& g : grads_) {
-    g *= inv_n;
-    if (!std::isfinite(g)) result.finite = false;
-  }
-  return result;
+  return merge_microbatches(results, grads_);
 }
 
 }  // namespace pipemare::pipeline

@@ -32,12 +32,13 @@ struct StepResult {
   bool finite = true;    ///< false if loss or gradients went non-finite
 };
 
-/// Finishes a minibatch of the multithreaded engines, whose microbatches
-/// each write their own `micro` slot wherever they ran: merges the slots in
-/// microbatch order (replaying the sequential engine's in-order sum, and the
-/// non-finite contract above), then — only if every loss is finite — runs
-/// `accumulate` (optional: sums per-microbatch gradients into `grads`) and
-/// scales `grads` by 1/N with the finiteness sweep.
+/// Finishes a minibatch of every engine, whose microbatches each write
+/// their own `micro` slot wherever they ran: merges the slots in microbatch
+/// order (and the non-finite contract above: the first non-finite slot ends
+/// the merge, so a sequential engine may stop there), then — only if every
+/// loss is finite — runs `accumulate` (optional: sums per-microbatch
+/// gradients into `grads`) and scales `grads` by 1/N with the finiteness
+/// sweep.
 StepResult merge_microbatches(std::span<const StepResult> micro, std::span<float> grads,
                               const std::function<void()>& accumulate = {});
 

@@ -23,15 +23,17 @@ std::vector<obs::Histogram*> staleness_histograms(int stages) {
 
 WeightVersions::WeightVersions(const nn::Model& model, const EngineConfig& cfg,
                                const Partition& partition, const Schedule& schedule,
-                               std::uint64_t seed)
+                               int max_delay, std::uint64_t seed)
     : cfg_(cfg), partition_(partition), schedule_(schedule) {
   live_.assign(static_cast<std::size_t>(model.param_count()), 0.0F);
   util::Rng rng(seed);
   model.init_params(live_, rng);
-  prev_live_ = live_;
-  delta_.assign(live_.size(), 0.0F);
+  if (cfg_.discrepancy_correction) {
+    prev_live_ = live_;
+    delta_.assign(live_.size(), 0.0F);
+  }
 
-  history_depth_ = schedule_.max_staleness() + 2;
+  history_depth_ = max_delay + 2;
   history_.assign(static_cast<std::size_t>(history_depth_), {});
   history_[0] = live_;  // version 0 = initial weights
   staleness_ = staleness_histograms(partition_.num_stages);
@@ -47,6 +49,12 @@ const std::vector<float>& WeightVersions::version(std::int64_t v) const {
   return slot;
 }
 
+std::int64_t WeightVersions::delayed_version(int stage, std::int64_t delay) const {
+  std::int64_t v = std::max<std::int64_t>(step_ - delay, 0);
+  staleness_[static_cast<std::size_t>(stage)]->observe(static_cast<double>(step_ - v));
+  return v;
+}
+
 void WeightVersions::assemble_forward_units(int ufirst, int ulast, int micro,
                                             std::span<float> out) const {
   for (int u = ufirst; u < ulast; ++u) {
@@ -56,11 +64,7 @@ void WeightVersions::assemble_forward_units(int ufirst, int ulast, int micro,
       src = live_.data();
     } else {
       int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
-      std::int64_t v = step_ - schedule_.fwd_staleness(stage, micro);
-      v = std::max<std::int64_t>(v, 0);
-      staleness_[static_cast<std::size_t>(stage)]->observe(
-          static_cast<double>(step_ - v));
-      src = version(v).data();
+      src = version(delayed_version(stage, schedule_.fwd_staleness(stage, micro))).data();
     }
     std::copy(src + unit.offset, src + unit.offset + unit.size,
               out.begin() + unit.offset);
@@ -83,15 +87,13 @@ void WeightVersions::assemble_backward_units(int ufirst, int ulast, int micro,
     std::copy(live_.begin() + unit.offset, live_.begin() + unit.offset + unit.size,
               out.begin() + unit.offset);
   }
-  if (cfg_.method != Method::PipeMare || !cfg_.discrepancy_correction) return;
+  if (cfg_.method != Method::PipeMare || delta_.empty()) return;
   // ...optionally T2-corrected toward what the forward pass saw:
   // u_bkwd = w - (tau_fwd - tau_bkwd) * delta.
   for (int u = ufirst; u < ulast; ++u) {
     const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
     int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
-    double gap = cfg_.t2_per_microbatch
-                     ? static_cast<double>(schedule_.fwd_staleness(stage, micro))
-                     : schedule_.mean_tau_fwd(stage);
+    double gap = schedule_.mean_tau_fwd(stage);
     if (gap <= 0.0) continue;
     auto g = static_cast<float>(gap);
     for (std::int64_t i = unit.offset; i < unit.offset + unit.size; ++i) {
@@ -102,7 +104,7 @@ void WeightVersions::assemble_backward_units(int ufirst, int ulast, int micro,
 
 void WeightVersions::commit_update() {
   ++step_;
-  if (cfg_.discrepancy_correction) {
+  if (!delta_.empty()) {
     for (int u = 0; u < partition_.num_units(); ++u) {
       const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
       int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
@@ -115,8 +117,8 @@ void WeightVersions::commit_update() {
         delta_[idx] = gf * delta_[idx] + cf * (live_[idx] - prev_live_[idx]);
       }
     }
+    prev_live_ = live_;
   }
-  prev_live_ = live_;
   history_[static_cast<std::size_t>(step_ % history_depth_)] = live_;
 }
 

@@ -20,24 +20,30 @@ namespace pipemare::pipeline {
 /// Histogram::max_observed() is exact regardless of the bucket bounds.
 std::vector<obs::Histogram*> staleness_histograms(int stages);
 
-/// The versioned-weight state every pipeline execution backend shares: the
-/// live weights, the bounded ring of committed weight versions (which
-/// doubles as PipeDream's weight stash), and the Technique 2 delta EMA.
+/// The versioned-weight state every training engine shares: the live
+/// weights, the bounded ring of committed weight versions (which doubles as
+/// PipeDream's weight stash), and the Technique 2 delta EMA.
 ///
-/// Both the sequential PipelineEngine and the multithreaded StealingEngine
-/// assemble their per-(stage, microbatch) forward/backward parameter views
-/// through this class, which is what guarantees the two backends are
-/// statistically — in fact bitwise — equivalent: the weight bytes fed to
-/// every forward and backward pass are computed by the same code from the
-/// same history.
+/// The pipeline engines (the sequential PipelineEngine and the
+/// multithreaded StealingEngine) assemble their per-(stage, microbatch)
+/// forward/backward parameter views through this class, which is what
+/// guarantees the backends are statistically — in fact bitwise —
+/// equivalent: the weight bytes fed to every forward and backward pass are
+/// computed by the same code from the same history. The Hogwild engines
+/// (hogwild::DelayedVersions) keep their live weights and committed
+/// versions here too and read randomly delayed versions through
+/// delayed_version / version.
 ///
 /// `cfg`, `partition` and `schedule` are borrowed; the owning engine keeps
 /// them alive (and may mutate `cfg.method` between minibatches, e.g. the
 /// Technique 3 sync-to-async switch).
 class WeightVersions {
  public:
+  /// Keeps the `max_delay` + 2 most recent versions: enough for any read
+  /// at most `max_delay` steps behind the live step. The T2 state is
+  /// allocated only when `cfg.discrepancy_correction` is on.
   WeightVersions(const nn::Model& model, const EngineConfig& cfg,
-                 const Partition& partition, const Schedule& schedule,
+                 const Partition& partition, const Schedule& schedule, int max_delay,
                  std::uint64_t seed);
 
   /// Live (most recent) weights; the caller's optimizer mutates these.
@@ -47,14 +53,19 @@ class WeightVersions {
   /// Number of committed updates (= index of the live version).
   std::int64_t step() const { return step_; }
 
-  /// Ring-buffer depth: max forward staleness + 2 versions are retained.
+  /// Ring-buffer depth: max_delay + 2 versions are retained.
   int history_depth() const { return history_depth_; }
 
   /// Committed weight version `v`; throws if `v` is outside the retained
   /// window [step - history_depth + 1, step]. Negative `v` reads version 0.
   const std::vector<float>& version(std::int64_t v) const;
 
-  /// Technique 2 EMA of per-step weight deltas.
+  /// The version a read `delay` steps behind the live step sees
+  /// (step - delay, clamped at 0); records the observed delay in the
+  /// reading stage's staleness histogram.
+  std::int64_t delayed_version(int stage, std::int64_t delay) const;
+
+  /// Technique 2 EMA of per-step weight deltas; empty when T2 is off.
   std::span<const float> delta() const { return delta_; }
 
   /// Writes the forward-pass weights of microbatch `micro` for weight units
@@ -86,10 +97,10 @@ class WeightVersions {
   // this class is lock-free by contract. The trainer thread writes step_,
   // history_, live_, prev_live_ and delta_ only between minibatches
   // (commit_update / the optimizer mutating live()); workers call the
-  // const assemble_*_units readers only inside a minibatch. The owning
-  // engine's generation barrier — the WorkerPool barrier in
-  // StealingEngine — is the
-  // happens-before edge that publishes each commit to the workers.
+  // const readers only inside a minibatch. The owning engine's generation
+  // barrier — the WorkerPool barrier in StealingEngine and
+  // ThreadedHogwildEngine — is the happens-before edge that publishes each
+  // commit to the workers.
   // Annotating these fields GUARDED_BY a capability would outlaw exactly
   // the lock-free reads that make the hot path scale; the unannotated
   // block marks the boundary the future free-running-commit mode must
@@ -100,13 +111,13 @@ class WeightVersions {
   int history_depth_ = 1;
   std::vector<std::vector<float>> history_;  ///< ring buffer of weight versions
   std::vector<float> live_;
-  std::vector<float> prev_live_;
-  std::vector<float> delta_;  ///< T2 EMA of weight deltas
+  std::vector<float> prev_live_;  ///< T2 only: live weights of the last commit
+  std::vector<float> delta_;      ///< T2 only: EMA of weight deltas
 
   // Per-stage weight-staleness histograms ("train.staleness.stage<k>"):
-  // each forward assembly records the *observed* read-version delay
+  // each delayed_version call records the *observed* read-version delay
   // step - version, i.e. the paper's tau as actually experienced (clamped
-  // at startup while step < staleness). Registry-owned pointers cached at
+  // at startup while step < delay). Registry-owned pointers cached at
   // construction; Histogram::observe is a relaxed-atomic wait-free write,
   // so the lock-free contract above is untouched.
   std::vector<obs::Histogram*> staleness_;

@@ -56,7 +56,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
                                           cfg_.engine.split_bias,
                                           cfg_.engine.partition)),
       schedule_(cfg_.engine.num_stages, cfg_.engine.num_microbatches),
-      store_(model, cfg_.engine, partition_, schedule_, seed),
+      store_(model, cfg_.engine, partition_, schedule_, schedule_.max_staleness(), seed),
       policy_(seed_policy(cfg_.mode, model, partition_, cfg_.engine.partition)) {
   if (cfg_.engine.recompute_segments > 0) {
     throw std::invalid_argument(

@@ -265,12 +265,12 @@ TEST(Hogwild, EngineTrainsTinyTask) {
   auto task = tiny_image_task(29);
   nn::Model model = task->build_model();
   hogwild::HogwildConfig hw;
-  hw.num_stages = pipeline::max_stages(model, false);
-  hw.num_microbatches = 4;
+  hw.engine.num_stages = pipeline::max_stages(model, false);
+  hw.engine.num_microbatches = 4;
   hw.max_delay = 8.0;
   hogwild::HogwildEngine engine(model, hw, 7);
 
-  TrainerConfig cfg = tiny_config(pipeline::Method::PipeMare, hw.num_stages, 4);
+  TrainerConfig cfg = tiny_config(pipeline::Method::PipeMare, hw.engine.num_stages, 4);
   cfg.t1 = true;
   cfg.t1_annealing_steps = 24;
   cfg.lr = 0.03;
@@ -283,8 +283,8 @@ TEST(Hogwild, DefaultDelayProfileFollowsPipeline) {
   auto task = tiny_image_task(31);
   nn::Model model = task->build_model();
   hogwild::HogwildConfig hw;
-  hw.num_stages = 4;
-  hw.num_microbatches = 2;
+  hw.engine.num_stages = 4;
+  hw.engine.num_microbatches = 2;
   hogwild::HogwildEngine engine(model, hw, 7);
   auto tau = engine.stage_tau_fwd();
   ASSERT_EQ(tau.size(), 4u);

@@ -58,8 +58,8 @@ struct HogwildFixture {
 
 HogwildConfig base_config(int stages, int micro) {
   HogwildConfig hw;
-  hw.num_stages = stages;
-  hw.num_microbatches = micro;
+  hw.engine.num_stages = stages;
+  hw.engine.num_microbatches = micro;
   hw.max_delay = 6.0;
   return hw;
 }
@@ -80,11 +80,6 @@ TEST(HogwildValidation, RejectsBadConfigs) {
   bad_delay.max_delay = -1.0;
   EXPECT_THROW(HogwildEngine(fx.model, bad_delay, 1), std::invalid_argument);
   EXPECT_THROW(ThreadedHogwildEngine(fx.model, bad_delay, 1), std::invalid_argument);
-
-  auto bad_mean = base_config(2, 2);
-  bad_mean.mean_delay = {1.0, 2.0, 3.0};  // size != num_stages
-  EXPECT_THROW(HogwildEngine(fx.model, bad_mean, 1), std::invalid_argument);
-  EXPECT_THROW(ThreadedHogwildEngine(fx.model, bad_mean, 1), std::invalid_argument);
 
   auto bad_workers = base_config(2, 2);
   bad_workers.num_workers = -1;
@@ -358,6 +353,77 @@ TEST(ThreadedHogwild, RunToRunBitwiseReproducible) {
   }
 }
 
+/// Runs `steps` SGD steps on `engine`; returns the per-step losses.
+template <class Engine>
+std::vector<double> sgd_steps(Engine& engine, HogwildFixture& fx, int steps) {
+  std::vector<double> losses;
+  for (int step = 0; step < steps; ++step) {
+    losses.push_back(engine.forward_backward(fx.inputs, fx.targets, fx.head).loss);
+    auto g = engine.gradients();
+    for (std::size_t i = 0; i < g.size(); ++i) engine.weights()[i] -= 0.05F * g[i];
+    engine.commit_update();
+  }
+  return losses;
+}
+
+template <class Engine>
+void expect_zero_delay_equals_sync(int workers) {
+  HogwildFixture fx(4);
+  auto hw = base_config(4, 4);
+  hw.max_delay = 0.0;
+  hw.num_workers = workers;
+  Engine pipemare(fx.model, hw, 5);
+  Engine sync(fx.model, hw, 5);
+  sync.set_method(pipeline::Method::Sync);
+  EXPECT_EQ(sgd_steps(pipemare, fx, 6), sgd_steps(sync, fx, 6));
+  for (std::size_t i = 0; i < sync.weights().size(); ++i) {
+    ASSERT_EQ(pipemare.weights()[i], sync.weights()[i]) << "weight " << i;
+  }
+}
+
+TEST(SharedRing, ZeroMaxDelayKeepsTwoVersions) {
+  HogwildFixture fx(4);
+  auto hw = base_config(4, 4);
+  hw.max_delay = 0.0;
+  DelayedVersions versions(fx.model, hw, 5);
+  EXPECT_EQ(versions.store().history_depth(), 2);
+}
+
+TEST(SharedRing, HogwildStoreKeepsNoT2State) {
+  // The delayed version serves forward and backward alike: whatever the
+  // recipe sets, the store allocates no Technique 2 buffers.
+  HogwildFixture fx(2);
+  auto hw = base_config(2, 2);
+  hw.engine.discrepancy_correction = true;
+  DelayedVersions versions(fx.model, hw, 5);
+  EXPECT_TRUE(versions.store().delta().empty());
+  EXPECT_FALSE(hw.engine.discrepancy_correction);
+}
+
+TEST(SharedRing, ZeroMaxDelayPipeMareMatchesSyncBitwise) {
+  // Every delay truncates to 0, so each read is the latest commit — the
+  // live weights Sync reads.
+  expect_zero_delay_equals_sync<HogwildEngine>(0);
+  expect_zero_delay_equals_sync<ThreadedHogwildEngine>(2);
+}
+
+TEST(SharedRing, FractionalMaxDelayStaysInsideTheRing) {
+  // max_delay 2.5: draws round up to 3 steps behind, so the ring keeps
+  // ceil(2.5) + 2 = 5 versions; run well past 3x that depth.
+  HogwildFixture fx(1);
+  auto hw = base_config(4, 1);  // stage 0 mean delay 7: draws pile up at the bound
+  hw.max_delay = 2.5;
+  {
+    DelayedVersions versions(fx.model, hw, 5);
+    EXPECT_EQ(versions.store().history_depth(), 5);
+  }
+  hw.num_workers = 1;
+  HogwildEngine seq(fx.model, hw, 5);
+  ThreadedHogwildEngine thr(fx.model, hw, 5);
+  EXPECT_NO_THROW(sgd_steps(seq, fx, 20));
+  EXPECT_NO_THROW(sgd_steps(thr, fx, 20));
+}
+
 TEST(ThreadedHogwild, NonFiniteLossContractMatchesSequential) {
   HogwildFixture fx(4, 4, 12, 6, 17, /*relu=*/false);
   for (std::int64_t i = 0; i < fx.inputs[2].x.size(); ++i) {
@@ -405,8 +471,8 @@ TEST(ThreadedHogwild, TrainsQuadraticWorkloadToSequentialLoss) {
   // Sequential reference via train_loop on HogwildEngine.
   nn::Model model = task.build_model();
   HogwildConfig hw;
-  hw.num_stages = cfg.engine.num_stages;
-  hw.num_microbatches = cfg.num_microbatches();
+  hw.engine.num_stages = cfg.engine.num_stages;
+  hw.engine.num_microbatches = cfg.num_microbatches();
   hw.max_delay = max_delay;
   HogwildEngine seq(model, hw, cfg.seed);
   auto seq_res = core::train_loop(task, seq, cfg);

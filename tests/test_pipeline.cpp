@@ -9,6 +9,7 @@
 #include "src/pipeline/engine.h"
 #include "src/pipeline/partition.h"
 #include "src/pipeline/schedule.h"
+#include "src/pipeline/weight_versions.h"
 #include "src/util/rng.h"
 
 namespace pipemare::pipeline {
@@ -421,6 +422,26 @@ TEST(Engine, T2DeltaTracksWeightVelocity) {
   Batch batch = random_micro_batches(1, 2, 3, 2, data_rng);
   auto res = engine.forward_backward(batch.inputs, batch.targets, head);
   EXPECT_TRUE(res.finite);
+}
+
+TEST(Engine, WeightVersionsKeepT2StateOnlyWhenT2IsOn) {
+  nn::Model model = make_mlp(3, 4, 2);
+  EngineConfig cfg;
+  cfg.method = Method::PipeMare;
+  cfg.num_stages = 2;
+  cfg.num_microbatches = 2;
+  Partition partition = make_partition(model, 2, false, cfg.partition);
+  Schedule schedule(2, 2);
+  for (bool t2 : {false, true}) {
+    cfg.discrepancy_correction = t2;
+    WeightVersions store(model, cfg, partition, schedule, schedule.max_staleness(), 1);
+    EXPECT_EQ(store.history_depth(), schedule.max_staleness() + 2);
+    for (int step = 0; step < 3; ++step) {
+      for (auto& w : store.live()) w -= 0.01F;
+      store.commit_update();
+    }
+    EXPECT_EQ(store.delta().size(), t2 ? store.live().size() : 0u) << "t2 " << t2;
+  }
 }
 
 }  // namespace

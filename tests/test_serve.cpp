@@ -13,6 +13,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +221,110 @@ TEST(Serialize, RejectsChecksumMismatch) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
   }
   std::remove(path.c_str());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <class T>
+void append_pod(std::string& bytes, const T& value) {
+  bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// A "PMCK" container header (current version, digest 0) in front of `blob`.
+std::string checkpoint_around(const std::string& blob) {
+  std::string bytes = "PMCK";
+  append_pod(bytes, kCheckpointFormatVersion);
+  append_pod(bytes, std::uint64_t{0});
+  return bytes + blob;
+}
+
+/// An input stream buffer over bytes that cannot seek (tellg() == -1),
+/// like a pipe: read_weights must fall back to bounded chunked reads.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+std::vector<float> read_unseekable(const std::string& bytes) {
+  UnseekableBuf buf(bytes);
+  std::istream in(&buf);
+  return nn::read_weights(in, "unseekable stream");
+}
+
+TEST(Serialize, HostileElementCountsThrowRuntimeError) {
+  // A header claiming far more floats than the file holds must be rejected
+  // as truncation before anything of that size is allocated (2^62 would
+  // otherwise escape as std::length_error, 2^40 as std::bad_alloc).
+  const std::string path = temp_path("hostile_count.bin");
+  for (std::uint64_t count : {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+    std::string v1 = "PMWV";
+    append_pod(v1, nn::kWeightsFormatVersion);
+    append_pod(v1, count);
+    append_pod(v1, std::uint64_t{0});  // checksum
+    std::string v0 = "PMWT";
+    append_pod(v0, count);
+    for (std::string blob : {v1, v0}) {
+      blob.append(12, '\0');  // a few payload bytes, far short of `count`
+      SCOPED_TRACE(blob.substr(0, 4) + " count " + std::to_string(count));
+      write_bytes(path, blob);
+      EXPECT_THROW(nn::load_weights(path), std::runtime_error);
+      EXPECT_THROW(read_unseekable(blob), std::runtime_error);
+      write_bytes(path, checkpoint_around(blob));
+      EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, EveryTruncationThrowsRuntimeError) {
+  const std::string path = temp_path("truncated_everywhere.bin");
+  const std::vector<float> w = {1.0f, -2.0f, 0.5f, 3.0f, -0.25f};
+  nn::save_weights(path, w);
+  const std::string v1 = read_bytes(path);
+  std::string v0 = "PMWT";
+  append_pod(v0, std::uint64_t{w.size()});
+  v0.append(reinterpret_cast<const char*>(w.data()), w.size() * sizeof(float));
+  for (const std::string& blob : {v1, v0}) {
+    const std::string ckpt = checkpoint_around(blob);
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+      SCOPED_TRACE(blob.substr(0, 4) + " truncated to " + std::to_string(len));
+      write_bytes(path, blob.substr(0, len));
+      EXPECT_THROW(nn::load_weights(path), std::runtime_error);
+      EXPECT_THROW(read_unseekable(blob.substr(0, len)), std::runtime_error);
+    }
+    for (std::size_t len = 0; len < ckpt.size(); ++len) {
+      SCOPED_TRACE("PMCK truncated to " + std::to_string(len));
+      write_bytes(path, ckpt.substr(0, len));
+      EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+    }
+    // Untruncated, every reader gets the weights back.
+    EXPECT_EQ(read_unseekable(blob), w);
+    write_bytes(path, ckpt);
+    EXPECT_EQ(load_checkpoint(path).weights, w);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, UnseekableStreamReadsAcrossChunks) {
+  // More floats than one bounded chunk, through the non-seeking path.
+  std::vector<float> w(70000);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<float>(i) * 0.5f;
+  std::ostringstream out;
+  nn::write_weights(out, w);
+  EXPECT_EQ(read_unseekable(out.str()), w);
 }
 
 TEST(Serialize, Fnv1aChainsAndDiscriminates) {
